@@ -47,6 +47,12 @@ class OutOfRange(FilippovError):
     """Parametric half-map evaluated outside its transit-time interval."""
 
 
+class PoleUnresolved(FilippovError, OverflowError):
+    """Half-map height too large to reach: its arc time would sit closer to
+    the pole than float resolution allows.  An OverflowError, so callers
+    that fall back on float overflow fall back on this too."""
+
+
 class DomainError(FilippovError):
     """Half map evaluated outside its y-domain."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,7 +29,7 @@ from .core import (
     sliding_numerator_coeffs,
     tangency_points,
 )
-from .errors import DegenerateTangency, DomainError, NoReturn
+from .errors import DegenerateField, DegenerateTangency, DomainError, NoReturn
 
 _EIG_SPLIT_TOL = 1e-9  # relative threshold between distinct and repeated eigenvalues
 _SNAP_TOL = 1e-11  # |x| below this at a critical point counts as a tangential return
@@ -38,42 +38,56 @@ _CLOSURE_TOL = 1e-8
 
 
 class _Eigen:
-    """Cached eigenstructure of one affine field with closed-form E(t), G(t).
+    """Cached eigenstructure of one affine field, held as plain floats.
 
-    The flow is z(t) = E(t) z0 + G(t) b with E = exp(At) and G = int_0^t E.
+    The flow is z(t) = E(t) z0 + G(t) b with E = exp(At) and G = int_0^t E,
+    written per spectrum as E = e^(at) (cos(wt) I + sin(wt)/w N) (complex),
+    e^(l1 t) M1 + e^(l2 t) M2 (distinct) or e^(lt) (I + t N) (repeated).
+    `at` evaluates it with float arithmetic only: math.exp overflow raises
+    OverflowError, products overflow quietly to inf/nan.
     """
 
     def __init__(self, f: AffineField):
-        self.A = f.A
-        self.b = f.b
+        (a11, a12), (a21, a22) = f.A.tolist()
+        b1, b2 = f.b.tolist()
+        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
+        self.b1, self.b2 = b1, b2
+        a_max = max(abs(a11), abs(a12), abs(a21), abs(a22))
+        # magnitude of the field, for the snap tolerances of axis returns
+        self.scale = 1.0 + a_max + max(abs(b1), abs(b2))
         tr = f.trace
         disc = f.discriminant
-        scale = 1.0 + float(np.max(np.abs(f.A))) ** 2
-        self.I = np.eye(2)
-        if disc < -_EIG_SPLIT_TOL * scale:
+        split = _EIG_SPLIT_TOL * (1.0 + a_max * a_max)
+        if disc < -split:
             self.kind = "complex"
-            self.a = tr / 2.0
-            self.omega = math.sqrt(-disc) / 2.0
-            self.N = f.A - self.a * self.I
-        elif disc > _EIG_SPLIT_TOL * scale:
+            a = self.a = tr / 2.0
+            w = self.omega = math.sqrt(-disc) / 2.0
+            self.mod2 = a * a + w * w  # |eigenvalue|^2 = det
+            self._set_N(a)
+            self.x_eq = (a12 * b2 - a22 * b1) / f.det
+        elif disc > split:
             self.kind = "distinct"
             s = math.sqrt(disc)
-            self.l1 = (tr + s) / 2.0
-            self.l2 = (tr - s) / 2.0
-            self.M1 = (f.A - self.l2 * self.I) / (self.l1 - self.l2)
-            self.M2 = (f.A - self.l1 * self.I) / (self.l2 - self.l1)
+            l1 = self.l1 = (tr + s) / 2.0
+            l2 = self.l2 = (tr - s) / 2.0
+            # spectral projectors M1 = (A - l2 I)/(l1 - l2), M2 = (A - l1 I)/(l2 - l1)
+            d = l1 - l2
+            p11, p12, p21, p22 = (a11 - l2) / d, a12 / d, a21 / d, (a22 - l2) / d
+            q11, q12, q21, q22 = (a11 - l1) / -d, a12 / -d, a21 / -d, (a22 - l1) / -d
+            self.M1 = (p11, p12, p21, p22)
+            self.M2 = (q11, q12, q21, q22)
+            self.M1b = (p11 * b1 + p12 * b2, p21 * b1 + p22 * b2)
+            self.M2b = (q11 * b1 + q12 * b2, q21 * b1 + q22 * b2)
         else:
             self.kind = "repeated"
             self.l = tr / 2.0
-            self.N = f.A - self.l * self.I
+            self._set_N(self.l)
 
-    def E(self, t: float) -> np.ndarray:
-        if self.kind == "complex":
-            c, s = math.cos(self.omega * t), math.sin(self.omega * t)
-            return math.exp(self.a * t) * (c * self.I + (s / self.omega) * self.N)
-        if self.kind == "distinct":
-            return math.exp(self.l1 * t) * self.M1 + math.exp(self.l2 * t) * self.M2
-        return math.exp(self.l * t) * (self.I + t * self.N)
+    def _set_N(self, lam: float) -> None:
+        n11, n12, n21, n22 = self.a11 - lam, self.a12, self.a21, self.a22 - lam
+        self.N = (n11, n12, n21, n22)
+        b1, b2 = self.b1, self.b2
+        self.Nb = (n11 * b1 + n12 * b2, n21 * b1 + n22 * b2)
 
     @staticmethod
     def _gbar(lam: float, t: float) -> float:
@@ -82,28 +96,47 @@ class _Eigen:
             return t * (1.0 + lam * t / 2.0)
         return math.expm1(lam * t) / lam
 
-    def G(self, t: float) -> np.ndarray:
-        if self.kind == "complex":
+    def at(self, x0: float, y0: float, t: float) -> tuple[float, float]:
+        """(x, y) at time t of the orbit from (x0, y0)."""
+        kind = self.kind
+        if kind == "complex":
             a, w = self.a, self.omega
-            d = a * a + w * w
+            n11, n12, n21, n22 = self.N
+            nb1, nb2 = self.Nb
             e = math.exp(a * t)
             c, s = math.cos(w * t), math.sin(w * t)
+            d = self.mod2
             ic = (e * (a * c + w * s) - a) / d
-            isn = (e * (a * s - w * c) + w) / d
-            return ic * self.I + (isn / w) * self.N
-        if self.kind == "distinct":
-            return self._gbar(self.l1, t) * self.M1 + self._gbar(self.l2, t) * self.M2
+            isn = (e * (a * s - w * c) + w) / d / w
+            sw = s / w
+            x = e * (c * x0 + sw * (n11 * x0 + n12 * y0)) + ic * self.b1 + isn * nb1
+            y = e * (c * y0 + sw * (n21 * x0 + n22 * y0)) + ic * self.b2 + isn * nb2
+            return x, y
+        if kind == "distinct":
+            p11, p12, p21, p22 = self.M1
+            q11, q12, q21, q22 = self.M2
+            (pb1, pb2), (qb1, qb2) = self.M1b, self.M2b
+            l1, l2 = self.l1, self.l2
+            e1, e2 = math.exp(l1 * t), math.exp(l2 * t)
+            g1, g2 = self._gbar(l1, t), self._gbar(l2, t)
+            x = e1 * (p11 * x0 + p12 * y0) + e2 * (q11 * x0 + q12 * y0) + g1 * pb1 + g2 * qb1
+            y = e1 * (p21 * x0 + p22 * y0) + e2 * (q21 * x0 + q22 * y0) + g1 * pb2 + g2 * qb2
+            return x, y
         lam = self.l
+        n11, n12, n21, n22 = self.N
+        nb1, nb2 = self.Nb
+        e = math.exp(lam * t)
         g = self._gbar(lam, t)
         if abs(lam) * abs(t) < 1e-14:
             h = t * t / 2.0
         else:
-            h = (t * math.exp(lam * t) - g) / lam
-        return g * self.I + h * self.N
+            h = (t * e - g) / lam
+        x = e * (x0 + t * (n11 * x0 + n12 * y0)) + g * self.b1 + h * nb1
+        y = e * (y0 + t * (n21 * x0 + n22 * y0)) + g * self.b2 + h * nb2
+        return x, y
 
     def point(self, z0: np.ndarray, t: float) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.E(t) @ z0 + self.G(t) @ self.b
+        return np.array(self.at(float(z0[0]), float(z0[1]), t))
 
 
 def _eigen(f: AffineField) -> _Eigen:
@@ -116,7 +149,6 @@ def _eigen(f: AffineField) -> _Eigen:
 
 def linear_flow(field: AffineField, z0, t: float) -> np.ndarray:
     """Exact solution of z' = Az + b at time t starting from z0."""
-    z0 = np.asarray(z0, dtype=float)
     return _eigen(field).point(z0, float(t))
 
 
@@ -124,32 +156,33 @@ def linear_flow(field: AffineField, z0, t: float) -> np.ndarray:
 # First return to the axis
 
 
-def _x_series_real(ev: _Eigen, z0: np.ndarray) -> list[tuple[float, float, int]]:
+def _x_series_real(ev: _Eigen, x0: float, y0: float) -> list[tuple[float, float, int]]:
     """Terms (c, lam, p) with x(t) = sum c * t^p * e^(lam t), real spectrum."""
-    b = ev.b
     terms: list[tuple[float, float, int]] = []
     if ev.kind == "distinct":
-        for M, lam in ((ev.M1, ev.l1), (ev.M2, ev.l2)):
-            cz = float((M @ z0)[0])
-            cb = float((M @ b)[0])
+        for (m11, m12, _, _), (mb1, _), lam in (
+            (ev.M1, ev.M1b, ev.l1),
+            (ev.M2, ev.M2b, ev.l2),
+        ):
+            cz = m11 * x0 + m12 * y0
             if lam != 0.0:
-                terms.append((cz + cb / lam, lam, 0))
-                terms.append((-cb / lam, 0.0, 0))
+                terms.append((cz + mb1 / lam, lam, 0))
+                terms.append((-mb1 / lam, 0.0, 0))
             else:
                 terms.append((cz, 0.0, 0))
-                terms.append((cb, 0.0, 1))
+                terms.append((mb1, 0.0, 1))
     else:
         lam = ev.l
-        cz0 = float(z0[0])
-        cz1 = float((ev.N @ z0)[0])
-        cb0 = float(b[0])
-        cb1 = float((ev.N @ b)[0])
+        n11, n12, _, _ = ev.N
+        cz1 = n11 * x0 + n12 * y0
+        cb0 = ev.b1
+        cb1 = ev.Nb[0]
         if lam != 0.0:
-            terms.append((cz0 + cb0 / lam - cb1 / (lam * lam), lam, 0))
+            terms.append((x0 + cb0 / lam - cb1 / (lam * lam), lam, 0))
             terms.append((cz1 + cb1 / lam, lam, 1))
             terms.append((-cb0 / lam + cb1 / (lam * lam), 0.0, 0))
         else:
-            terms.append((cz0, 0.0, 0))
+            terms.append((x0, 0.0, 0))
             terms.append((cz1 + cb0, 0.0, 1))
             terms.append((cb1 / 2.0, 0.0, 2))
     merged: dict[tuple[float, int], float] = {}
@@ -168,18 +201,18 @@ def _tail_sign(terms: list[tuple[float, float, int]]) -> int:
     lam, p, c = max(live, key=lambda it: (it[0], it[1]))
     if lam < 0.0:
         return 0
-    return int(np.sign(c))
+    return 1 if c > 0.0 else -1
 
 
-def _real_critical_time(ev: _Eigen, v0: np.ndarray, t_min: float) -> Optional[float]:
+def _real_critical_time(ev: _Eigen, vx0: float, vy0: float, t_min: float) -> Optional[float]:
     """Smallest root above t_min of the x-velocity along the orbit (if any).
 
     The velocity solves the homogeneous system, so its first component has at
     most one sign change when the spectrum is real.
     """
     if ev.kind == "distinct":
-        c1 = float((ev.M1 @ v0)[0])
-        c2 = float((ev.M2 @ v0)[0])
+        c1 = ev.M1[0] * vx0 + ev.M1[1] * vy0
+        c2 = ev.M2[0] * vx0 + ev.M2[1] * vy0
         if c1 == 0.0 or c2 == 0.0:
             return None
         ratio = -c2 / c1
@@ -187,28 +220,38 @@ def _real_critical_time(ev: _Eigen, v0: np.ndarray, t_min: float) -> Optional[fl
             return None
         t = math.log(ratio) / (ev.l1 - ev.l2)
         return t if t > t_min else None
-    cA = float(v0[0])
-    cB = float((ev.N @ v0)[0])
+    cB = ev.N[0] * vx0 + ev.N[1] * vy0
     if cB == 0.0:
         return None
-    t = -cA / cB
+    t = -vx0 / cB
     return t if t > t_min else None
 
 
-def _polish_root(xf: Callable[[float], float], vf: Callable[[float], float], t: float) -> float:
+def _polish_root(ev: _Eigen, x0: float, y0: float, t: float) -> tuple[float, float]:
+    """Newton steps on x(t) = 0 along the orbit from (x0, y0); returns the
+    polished time and y there.
+
+    A step is kept only if it stays at positive time and shrinks |x|: near a
+    double root (a return that barely leaves the axis) v is almost zero and
+    a raw step can land anywhere, even at negative time.
+    """
+    x, y = ev.at(x0, y0, t)
     for _ in range(3):
-        v = vf(t)
+        v = ev.a11 * x + ev.a12 * y + ev.b1
         if v == 0.0:
             break
-        step = xf(t) / v
-        if not math.isfinite(step):
+        t_new = t - x / v
+        if not 0.0 < t_new < math.inf:
             break
-        t -= step
-    return t
+        x_new, y_new = ev.at(x0, y0, t_new)
+        if not abs(x_new) < abs(x):
+            break
+        t, x, y = t_new, x_new, y_new
+    return t, y
 
 
 def _first_axis_hit(
-    field: AffineField, z0: np.ndarray, side: str, from_axis: bool
+    field: AffineField, z0, side: str, from_axis: bool
 ) -> tuple[float, np.ndarray]:
     """Smallest t > 0 with x(t) = 0 while the orbit stays in the open side.
 
@@ -216,24 +259,19 @@ def _first_axis_hit(
     infinity or convergence toward an equilibrium inside the side).
     """
     ev = _eigen(field)
-    side_sign = 1.0 if side == "right" else -1.0
-    scale = 1.0 + float(np.max(np.abs(field.A))) + float(np.max(np.abs(field.b)))
-    def xf(t: float) -> float:
-        return float(ev.point(z0, t)[0])
+    x0, y0 = float(z0[0]), float(z0[1])
+    scale = ev.scale
 
-    def vf(t: float) -> float:
-        # far-out probes can overflow to inf; downstream comparisons handle
-        # that, so keep numpy quiet about it
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float((field.A @ ev.point(z0, t) + field.b)[0])
-    s0 = side_sign if from_axis else float(np.sign(z0[0]))
-    v0 = field.A @ z0 + field.b
+    def xf(t: float) -> float:
+        return ev.at(x0, y0, t)[0]
+
+    s0 = (1.0 if side == "right" else -1.0) if from_axis else math.copysign(1.0, x0)
+    vx0 = ev.a11 * x0 + ev.a12 * y0 + ev.b1
     t_eps = 1e-12
 
     def _finish(t: float) -> tuple[float, np.ndarray]:
-        t = _polish_root(xf, vf, t)
-        z = ev.point(z0, t)
-        return t, np.array([0.0, z[1]])
+        t, y = _polish_root(ev, x0, y0, t)
+        return t, np.array([0.0, y])
 
     def _first_piece_root(t_hi: float) -> tuple[float, np.ndarray]:
         # sign change on (0, t_hi) where x leaves 0 with sign s0
@@ -245,10 +283,9 @@ def _first_axis_hit(
     if ev.kind == "complex":
         w = ev.omega
         a = ev.a
-        z_eq = np.linalg.solve(field.A, -field.b)
-        x_eq = float(z_eq[0])
-        P = float(z0[0]) - x_eq
-        Q = (float(v0[0]) - a * P) / w
+        x_eq = ev.x_eq
+        P = x0 - x_eq
+        Q = (vx0 - a * P) / w
         C = math.hypot(P, Q)
         if C <= 1e-15 * (1.0 + abs(x_eq)):
             raise DomainError("start point is the equilibrium; the orbit does not move")
@@ -281,8 +318,8 @@ def _first_axis_hit(
         )
 
     # Real spectrum: at most one critical point, at most two monotone pieces.
-    terms = _x_series_real(ev, z0)
-    t_c = _real_critical_time(ev, np.asarray(v0, dtype=float), t_eps)
+    terms = _x_series_real(ev, x0, y0)
+    t_c = _real_critical_time(ev, vx0, ev.a21 * x0 + ev.a22 * y0 + ev.b2, t_eps)
     tail = _tail_sign(terms)
 
     def _bracket_and_solve(lo: float, s_lo: float) -> tuple[float, np.ndarray]:
@@ -316,23 +353,19 @@ def first_return_to_axis(field: AffineField, z0, side: str) -> tuple[float, np.n
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    z0 = np.asarray(z0, dtype=float)
-    if abs(z0[0]) > 1e-9 * (1.0 + abs(z0[1])):
+    x0, y0 = float(z0[0]), float(z0[1])
+    if abs(x0) > 1e-9 * (1.0 + abs(y0)):
         raise DomainError("start point must lie on the switching line")
-    z0 = np.array([0.0, z0[1]])
+    ev = _eigen(field)
     side_sign = 1.0 if side == "right" else -1.0
-    with np.errstate(over="ignore"):
-        vel = field.A @ z0 + field.b
-        vx0 = float(vel[0])
-        speed = float(np.hypot(*vel))
-    if abs(vx0) > 1e-10 * (1.0 + speed):
+    vx0 = ev.a12 * y0 + ev.b1
+    vy0 = ev.a22 * y0 + ev.b2
+    if abs(vx0) > 1e-10 * (1.0 + math.hypot(vx0, vy0)):
         if math.copysign(1.0, vx0) != side_sign:
             raise DomainError("orbit departs into the opposite side")
-    else:
-        kappa = float(field.A[0, 1]) * float(vel[1])
-        if kappa * side_sign <= 0.0:
-            raise DomainError("tangency is not visible from the requested side")
-    return _first_axis_hit(field, z0, side, from_axis=True)
+    elif ev.a12 * vy0 * side_sign <= 0.0:
+        raise DomainError("tangency is not visible from the requested side")
+    return _first_axis_hit(field, (0.0, y0), side, from_axis=True)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +540,7 @@ def _axis_mode(sys: FilippovSystem, y: float) -> tuple[str, object]:
 def _no_return_terminal(field: AffineField, side: str) -> TerminalEvent:
     try:
         info = equilibrium_info(field, side)
-    except Exception:
+    except DegenerateField:
         return TerminalEvent("Escape")
     if info.stability == "stable" and info.placement in ("admissible", "boundary"):
         return TerminalEvent("Equilibrium", point=info.location)

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .canonical import CanonicalParams, shear_to_equal_gammas
 from .core import TransformRecord
-from .errors import ConditionViolated, DomainError, OutOfRange
+from .errors import ConditionViolated, DomainError, OutOfRange, PoleUnresolved
 
 _T_RESIDUAL = 1e-12
 _ENDPOINT_ZERO_TOL = 1e-9
@@ -174,51 +174,42 @@ def _dy_dt_left(t: float, ctx: HalfMapContext) -> float:
     return -ctx.nu * (pl + ctx.params.eta) * math.exp(g3 * t) / math.sin(ctx.nu * t)
 
 
+def _invert(y: float, param, dy_dt, pole: float, hi: float, ctx: HalfMapContext) -> float:
+    """Arc time t in (pole, hi] with param(t)[0] = y; that height falls from
+    +inf at the pole to its value at hi."""
+
+    def f(t):
+        return param(t, ctx)[0] - y
+
+    floor = math.nextafter(pole, math.inf)
+    gap = (hi - pole) / 2.0
+    lo = pole + gap
+    while f(lo) < 0.0:
+        if lo == floor:
+            raise PoleUnresolved(f"height {y} needs an arc time closer to {pole} than {floor}")
+        gap /= 8.0
+        lo = max(pole + gap, floor)
+    t = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    for _ in range(2):
+        d = dy_dt(t, ctx)
+        if d == 0.0 or not pole < t - f(t) / d <= hi:
+            break
+        t -= f(t) / d
+    return t
+
+
 def _invert_right(y: float, ctx: HalfMapContext) -> float:
     """Arc time t_plus with y(t_plus) = y, for y >= 0."""
     if y == 0.0:
         return ctx.t_hat_plus
-    hi = ctx.t_hat_plus
-
-    def f(t):
-        return right_map_param(t, ctx)[0] - y
-
-    gap = (hi - math.pi) / 2.0
-    lo = math.pi + gap
-    while f(lo) < 0.0 and gap > 1e-280:
-        gap /= 8.0
-        lo = math.pi + gap
-    t = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    for _ in range(2):
-        d = _dy_dt_right(t, ctx)
-        if d == 0.0 or not math.pi < t - f(t) / d <= hi:
-            break
-        t -= f(t) / d
-    return t
+    return _invert(y, right_map_param, _dy_dt_right, math.pi, ctx.t_hat_plus, ctx)
 
 
 def _invert_left(y: float, ctx: HalfMapContext) -> float:
     """Arc time t_minus with y(t_minus) = y, for y >= y_eta."""
     if y == ctx.y_eta:
         return ctx.t_hat_minus
-    lo_pole = math.pi / ctx.nu
-    hi = ctx.t_hat_minus
-
-    def f(t):
-        return left_map_param(t, ctx)[0] - y
-
-    gap = (hi - lo_pole) / 2.0
-    lo = lo_pole + gap
-    while f(lo) < 0.0 and gap > 1e-280:
-        gap /= 8.0
-        lo = lo_pole + gap
-    t = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    for _ in range(2):
-        d = _dy_dt_left(t, ctx)
-        if d == 0.0 or not lo_pole < t - f(t) / d <= hi:
-            break
-        t -= f(t) / d
-    return t
+    return _invert(y, left_map_param, _dy_dt_left, math.pi / ctx.nu, ctx.t_hat_minus, ctx)
 
 
 def P_R(y: float, ctx: HalfMapContext) -> float:

@@ -39,6 +39,7 @@ from .errors import (
     WindowNotFound,
 )
 from .flow import (
+    _CLOSURE_TOL,
     FlowSegment,
     Orbit,
     SlideSegment,
@@ -386,8 +387,12 @@ def _crossings_by_scan(sys: FilippovSystem, budget: int) -> list[PeriodicOrbitRe
         if g0 == 0.0:
             push(y0)
         elif g0 * g1 < 0.0:
+            # brentq also converges onto a jump of G (at the edge of the
+            # launch domain), so keep only roots where the cycle closes
             try:
-                push(brentq(G, y0, y1, xtol=1e-12, rtol=8.9e-16))
+                r = brentq(G, y0, y1, xtol=1e-12, rtol=8.9e-16)
+                if abs(G(r)) <= _CLOSURE_TOL * max(1.0, abs(r)):
+                    push(r)
             except skip:
                 pass
     for y, g in vals:
@@ -430,8 +435,9 @@ def find_crossing_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodi
         OverflowError,
     ):
         # OverflowError: the closed forms carry e^(gamma3 t) factors that can
-        # exceed float range for extreme spiral ratios; the shooting scan
-        # handles those systems with per-probe guards instead
+        # exceed float range for extreme spiral ratios, and PoleUnresolved
+        # marks heights no float arc time reaches; the shooting scan handles
+        # those systems with per-probe guards instead
         return _crossings_by_scan(sys, budget)
 
 

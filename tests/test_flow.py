@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -172,6 +173,23 @@ def test_first_return_invisible_tangency_rejected():
         first_return_to_axis(f, (0.0, 0.0), "right")
 
 
+def test_first_return_from_near_double_root_keeps_positive_time():
+    # the orbit leaves the axis almost tangentially and is back after ~4e-7;
+    # x' nearly vanishes there, and an unguarded Newton polish jumped to
+    # t = -287 (landing at y ~ 1e153)
+    f = AffineField(
+        [[2.2294895807206316, 1.4366490509455963], [-2.610252057712321, -2.311352129546352]],
+        [-1.838982549158233, 1.9642967008573535],
+    )
+    y0 = 1.2800503740128486
+    t_hit, z_hit = first_return_to_axis(f, (0.0, y0), "right")
+    assert 0.0 < t_hit < 1e-6
+    assert z_hit[1] == pytest.approx(y0, abs=1e-6)
+    want = _helper_expm_flow(f, (0.0, y0), t_hit)
+    assert abs(want[0]) < 1e-12
+    assert want[1] == pytest.approx(z_hit[1], abs=1e-12)
+
+
 def _helper_rotation_invariant(field, u):
     # quadratic form conserved by the rotational part of the flow
     a = field.trace / 2.0
@@ -217,6 +235,59 @@ def test_first_return_focus_dichotomy_both_time_directions():
                 assert z_hit[1] == pytest.approx(y_t, abs=1e-8 * (1.0 + abs(y_t)))
             checked += 1
     assert checked > 60
+
+
+def _helper_jordan_field(kind, lam, mu, basis, eq):
+    """Field with spectrum {lam +- i|mu|}, {lam, lam + mu} or a repeated lam
+    (Jordan block), in the basis (rotation, scales, shear) and with
+    equilibrium eq."""
+    if kind == "complex":
+        J = np.array([[lam, -abs(mu)], [abs(mu), lam]])
+    elif kind == "distinct":
+        J = np.diag([lam, lam + mu])
+    else:
+        J = np.array([[lam, 1.0], [0.0, lam]])
+    theta, s1, s2, shear = basis
+    c, s = math.cos(theta), math.sin(theta)
+    P = np.array([[c, -s], [s, c]]) @ np.array([[s1, shear], [0.0, s2]])
+    A = P @ J @ np.linalg.inv(P)
+    return AffineField(A, -A @ np.array(eq))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["complex", "distinct", "repeated"]),
+    lam=st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
+    mu=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+    basis=st.tuples(
+        st.floats(0.0, 2.0 * math.pi), st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0)
+    ),
+    eq=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    y0=st.floats(-3.0, 3.0),
+)
+def test_first_return_matches_matrix_exponential(kind, lam, mu, basis, eq, y0):
+    """Every spectrum branch of the scalar kernel lands on x = 0 where the
+    augmented matrix exponential puts the orbit."""
+    assume(kind != "distinct" or abs(lam + mu) >= 0.05)
+    f = _helper_jordan_field(kind, lam, mu, basis, eq)
+    # expm evaluates triangular input by divided differences of the diagonal,
+    # which cancel when its entries nearly coincide: not an oracle there
+    assume(f.A[1, 0] != 0.0)
+    vx0 = f.axis_vx(y0)
+    assume(abs(vx0) > 1e-3)
+    side = "right" if vx0 > 0.0 else "left"
+    try:
+        t_hit, z_hit = first_return_to_axis(f, (0.0, y0), side)
+    except (NoReturn, OverflowError):  # no return, or none within float range
+        assume(False)
+    # the oracle's own rounding grows with the flow map's norm, so keep to
+    # arcs where that norm leaves it good to well below 1e-10
+    assume(np.abs(expm(f.A * t_hit)).max() <= 1e4)
+    want = _helper_expm_flow(f, (0.0, y0), t_hit)
+    scale = 1.0 + abs(y0) + abs(want[1])
+    assert z_hit[0] == 0.0
+    assert abs(want[0]) <= 1e-10 * scale
+    assert abs(want[1] - z_hit[1]) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from filippov.canonical import CanonicalParams
-from filippov.errors import ConditionViolated, DomainError, OutOfRange
+from filippov.acceptance import _random_system
+from filippov.canonical import CanonicalParams, to_canonical
+from filippov.errors import ConditionViolated, DomainError, FilippovError, OutOfRange, PoleUnresolved
 from filippov.flow import first_return_to_axis, linear_flow
 from filippov.halfmaps import (
     P_L_inv,
@@ -21,6 +22,7 @@ from filippov.halfmaps import (
     solve_t_hats,
     zeros_of_D,
 )
+from filippov.periodic import coexistence
 
 T_STAR = 3.940733135692915
 E_STAR = -36.88167146980386  # e^{t*} sin t*
@@ -363,3 +365,36 @@ def test_zero_count_bound_over_random_contexts():
             assert len(zeros) == 1
             assert zeros[0].D_prime_sign == 1
     assert negative_start > 100
+
+
+def test_unreachable_height_raises_pole_unresolved():
+    # y(t) ~ 1/sin(t) near t = pi: above y(nextafter(pi)) no float arc time
+    # reaches the height, and the inversion must say so instead of stepping
+    # onto the pole
+    ctx = _helper_context()
+    with pytest.raises(PoleUnresolved):
+        P_R(1e300, ctx)
+    with pytest.raises(PoleUnresolved):
+        P_L_inv(1e300, ctx)
+    assert issubclass(PoleUnresolved, OverflowError)
+    assert issubclass(PoleUnresolved, FilippovError)
+
+
+@pytest.mark.parametrize(
+    "seed, draw", [(205, 461), (2005, 98), (2007, 1102), (200, 1520), (201, 2430)]
+)
+def test_census_falls_back_when_displacement_search_leaves_float_range(seed, draw):
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        _random_system(rng)
+    sys = _random_system(rng)
+    with pytest.raises(PoleUnresolved):
+        zeros_of_D(make_context(to_canonical(sys)[0]))
+    rep = coexistence(sys, budget=60)
+    for r in rep.records:
+        if r.kind == "crossing":
+            y0 = r.orbit.segments[0].start[1]
+            z = (0.0, y0)
+            for seg in r.orbit.segments:
+                _, z = first_return_to_axis(sys.field(seg.side), z, seg.side)
+            assert abs(z[1] - y0) <= 1e-8 * max(1.0, abs(y0))

@@ -14,10 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from filippov.acceptance import _random_system
 from filippov.canonical import check_premises, to_canonical
 from filippov.core import AffineField, FilippovSystem, equilibrium_info
 from filippov.errors import TheoremViolation
-from filippov.flow import filippov_orbit
+from filippov.flow import filippov_orbit, first_return_to_axis
 from filippov.halfmaps import make_context, zeros_of_D
 from filippov.periodic import (
     ConfigurationLabel,
@@ -372,3 +373,34 @@ def test_sliding_records_imply_focus_stability_side():
         assert side != "none"
         pick = "right" if side in ("right", "both") else "left"
         assert equilibrium_info(sys.field(pick), pick).stability == stab
+
+
+def _helper_random_draw(seed, draw):
+    """System number `draw` (0-based) of the random sweep seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        _random_system(rng)
+    return _random_system(rng)
+
+
+def _helper_assert_crossings_close(sys, rep):
+    for r in rep.records:
+        if r.kind != "crossing":
+            continue
+        y0 = r.orbit.segments[0].start[1]
+        z = (0.0, y0)
+        for seg in r.orbit.segments:
+            _, z = first_return_to_axis(sys.field(seg.side), z, seg.side)
+        assert abs(z[1] - y0) <= 1e-8 * max(1.0, abs(y0))
+
+
+@pytest.mark.parametrize(
+    "seed, draw",
+    [(20260823, 5023), (2001, 1159), (4006, 858), (2008, 308), (2009, 1284), (2010, 4114)],
+)
+def test_scan_reports_only_closing_crossing_cycles(seed, draw):
+    # the shooting scan's root solver can converge onto a jump of the return
+    # displacement at the edge of its launch domain; such a "root" is no cycle
+    sys = _helper_random_draw(seed, draw)
+    rep = coexistence(sys, budget=60)
+    _helper_assert_crossings_close(sys, rep)
