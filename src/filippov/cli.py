@@ -22,7 +22,7 @@ from .core import equilibrium_info, sigma_decomposition, tangency_points
 from .errors import FilippovError, SpecFileError
 from .flow import filippov_orbit, linear_flow
 from .halfmaps import P_L_inv, P_R, make_context
-from .periodic import _reversed_system, coexistence
+from .periodic import coexistence
 from .report import _params_obj, build_report, format_csv, report_to_json
 from .specfile import SystemSpecFile, resolve_spec
 
@@ -109,7 +109,7 @@ def _entry_side(work, x0: float, y0: float) -> str:
 def cmd_orbit(args) -> int:
     spec = resolve_spec(args.spec)
     fsys = spec.normalized()
-    work = _reversed_system(fsys) if args.backward else fsys
+    work = fsys.time_reversed() if args.backward else fsys
     orbit = filippov_orbit(work, (args.x0, args.y0), budget=args.budget)
     sgn = -1.0 if args.backward else 1.0
     rows: list[list] = []

@@ -86,9 +86,6 @@ class AffineField:
     def axis_vx(self, y: float) -> float:
         return float(self.A[0, 1] * y + self.b[0])
 
-    def axis_vy(self, y: float) -> float:
-        return float(self.A[1, 1] * y + self.b[1])
-
     def negated(self) -> "AffineField":
         return AffineField(-self.A, -self.b)
 
@@ -440,25 +437,27 @@ def sliding_field(sys: FilippovSystem, y: float) -> float:
     return N / Dn
 
 
-def pseudo_equilibria(sys: FilippovSystem) -> list[np.ndarray]:
-    """Zeros of the sliding field strictly inside sliding intervals."""
+def sliding_numerator_roots(sys: FilippovSystem) -> list[float]:
+    """Real roots of the sliding numerator N(y): the candidate pseudo-equilibria."""
     n2, n1, n0 = sliding_numerator_coeffs(sys)
     if abs(n2) > 1e-14 * (1.0 + abs(n1) + abs(n0)):
         disc = n1 * n1 - 4.0 * n2 * n0
         if disc < 0.0:
-            roots: list[float] = []
-        else:
-            s = math.sqrt(disc)
-            roots = [(-n1 - s) / (2.0 * n2), (-n1 + s) / (2.0 * n2)]
-    elif n1 != 0.0:
-        roots = [-n0 / n1]
-    else:
-        roots = []
-    out = []
-    for r in sorted(set(roots)):
-        if classify_point(sys, r) in SLIDING_LABELS:
-            out.append(np.array([0.0, r]))
-    return out
+            return []
+        s = math.sqrt(disc)
+        return [(-n1 - s) / (2.0 * n2), (-n1 + s) / (2.0 * n2)]
+    if n1 != 0.0:
+        return [-n0 / n1]
+    return []
+
+
+def pseudo_equilibria(sys: FilippovSystem) -> list[np.ndarray]:
+    """Zeros of the sliding field strictly inside sliding intervals."""
+    return [
+        np.array([0.0, r])
+        for r in sorted(set(sliding_numerator_roots(sys)))
+        if classify_point(sys, r) in SLIDING_LABELS
+    ]
 
 
 def equilibrium_info(field: AffineField, side: str) -> EquilibriumInfo:
@@ -498,14 +497,25 @@ def equilibrium_info(field: AffineField, side: str) -> EquilibriumInfo:
     return EquilibriumInfo((float(loc[0]), float(loc[1])), kind, stability, placement)
 
 
-def tangency_points(sys: FilippovSystem) -> list[TangencyInfo]:
-    """Per-side roots of the axis x-velocity, excluding boundary equilibria.
+def tangency_visibility(field: AffineField, side: str, y: float) -> str:
+    """Visibility from its own zone of a tangency of `field` at (0, y).
 
-    Visibility is decided by the second flow-derivative of x at the contact:
+    Decided by the second flow-derivative of x at the contact, a12 * v_y:
     for the right field a positive value means the parabolic arc bends into
-    x > 0, so the contact is visible from its own zone; for the left field
-    the sign flips.
+    x > 0, so the contact is visible; for the left field the sign flips.
     """
+    a12 = float(field.A[0, 1])
+    vel = field.velocity((0.0, y))
+    kappa = a12 * float(vel[1])
+    if abs(kappa) <= VANISH_TOL * (1.0 + abs(a12) + float(np.hypot(*vel))):
+        return "degenerate"
+    if (kappa > 0.0) == (side == "right"):
+        return "visible"
+    return "invisible"
+
+
+def tangency_points(sys: FilippovSystem) -> list[TangencyInfo]:
+    """Per-side roots of the axis x-velocity, excluding boundary equilibria."""
     out: list[TangencyInfo] = []
     for side in ("left", "right"):
         f = sys.field(side)
@@ -513,31 +523,28 @@ def tangency_points(sys: FilippovSystem) -> list[TangencyInfo]:
         if a12 == 0.0:
             continue  # constant x-velocity: either no root or degenerate line
         y_t = -b1 / a12
-        vel = f.velocity((0.0, y_t))
-        speed = float(np.hypot(*vel))
+        speed = float(np.hypot(*f.velocity((0.0, y_t))))
         if speed <= VANISH_TOL * (1.0 + speed):
             continue  # the whole field vanishes: boundary equilibrium, not a tangency
-        kappa = a12 * f.axis_vy(y_t)
-        if abs(kappa) <= VANISH_TOL * (1.0 + abs(a12) + speed):
-            vis = "degenerate"
-        elif (kappa > 0.0) == (side == "right"):
-            vis = "visible"
-        else:
-            vis = "invisible"
-        out.append(TangencyInfo((0.0, y_t), side, vis))
+        out.append(TangencyInfo((0.0, y_t), side, tangency_visibility(f, side, y_t)))
     out.sort(key=lambda t: t.y)
     return out
 
 
-def sigma_decomposition(sys: FilippovSystem) -> SigmaDecomposition:
-    """Complete ordered labeling of the switching line."""
-    breakpoints: list[float] = []
+def axis_breakpoints(sys: FilippovSystem) -> list[float]:
+    """Sorted roots of the two axis x-velocities, repeats kept."""
+    bps = []
     for f in (sys.left, sys.right):
         a12, b1 = f.axis_vx_coeffs()
         if a12 != 0.0:
-            breakpoints.append(-b1 / a12)
+            bps.append(-b1 / a12)
+    return sorted(bps)
+
+
+def sigma_decomposition(sys: FilippovSystem) -> SigmaDecomposition:
+    """Complete ordered labeling of the switching line."""
     bps: list[float] = []
-    for y in sorted(breakpoints):
+    for y in axis_breakpoints(sys):
         if not bps or abs(y - bps[-1]) > 1e-12 * (1.0 + abs(y)):
             bps.append(y)
 

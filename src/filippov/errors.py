@@ -53,6 +53,12 @@ class PoleUnresolved(FilippovError, OverflowError):
     that fall back on float overflow fall back on this too."""
 
 
+class ReturnOverflow(FilippovError, OverflowError):
+    """Axis return whose time, landing height or speed there is not a finite
+    float: the arc leaves float range first.  An OverflowError, so callers
+    that fall back on float overflow fall back on this too."""
+
+
 class DomainError(FilippovError):
     """Half map evaluated outside its y-domain."""
 

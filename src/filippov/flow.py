@@ -22,14 +22,17 @@ from .core import (
     FilippovSystem,
     RegionLabel,
     SLIDING_LABELS,
+    axis_breakpoints,
     classify_point,
     equilibrium_info,
     sliding_denominator_coeffs,
     sliding_field,
     sliding_numerator_coeffs,
+    sliding_numerator_roots,
     tangency_points,
+    tangency_visibility,
 )
-from .errors import DegenerateField, DegenerateTangency, DomainError, NoReturn
+from .errors import DegenerateField, DegenerateTangency, DomainError, NoReturn, ReturnOverflow
 
 _EIG_SPLIT_TOL = 1e-9  # relative threshold between distinct and repeated eigenvalues
 _SNAP_TOL = 1e-11  # |x| below this at a critical point counts as a tangential return
@@ -177,7 +180,8 @@ def _x_series_real(ev: _Eigen, x0: float, y0: float) -> list[tuple[float, float,
         cz1 = n11 * x0 + n12 * y0
         cb0 = ev.b1
         cb1 = ev.Nb[0]
-        if lam != 0.0:
+        # below |lam| ~ 1e-154, lam * lam underflows: take the nilpotent terms
+        if lam * lam != 0.0:
             terms.append((x0 + cb0 / lam - cb1 / (lam * lam), lam, 0))
             terms.append((cz1 + cb1 / lam, lam, 1))
             terms.append((-cb0 / lam + cb1 / (lam * lam), 0.0, 0))
@@ -271,14 +275,20 @@ def _first_axis_hit(
 
     def _finish(t: float) -> tuple[float, np.ndarray]:
         t, y = _polish_root(ev, x0, y0, t)
+        # scale * |y| bounds the field's speed at the landing, which must be finite too
+        if not (math.isfinite(t) and math.isfinite(ev.scale * y)):
+            raise ReturnOverflow(f"axis return from ({x0}, {y0}) lands at t={t}, y={y}")
         return t, np.array([0.0, y])
+
+    def _root(lo: float, hi: float) -> tuple[float, np.ndarray]:
+        return _finish(brentq(xf, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
     def _first_piece_root(t_hi: float) -> tuple[float, np.ndarray]:
         # sign change on (0, t_hi) where x leaves 0 with sign s0
         lo = t_eps
         while xf(lo) * s0 <= 0.0 and lo > 1e-300:
             lo /= 8.0
-        return _finish(brentq(xf, lo, t_hi, xtol=1e-14, rtol=8.9e-16))
+        return _root(lo, t_hi)
 
     if ev.kind == "complex":
         w = ev.omega
@@ -309,7 +319,7 @@ def _first_axis_hit(
             s_k = math.copysign(1.0, x_k)
             if s_k != prev_s:
                 if prev_t > 0.0:
-                    return _finish(brentq(xf, prev_t, t_k, xtol=1e-14, rtol=8.9e-16))
+                    return _root(prev_t, t_k)
                 return _first_piece_root(t_k)
             prev_t, prev_s = t_k, s_k
             t_k += half
@@ -327,7 +337,7 @@ def _first_axis_hit(
         for _ in range(80):
             hi = lo + width
             if xf(hi) * s_lo < 0.0:
-                return _finish(brentq(xf, max(lo, t_eps), hi, xtol=1e-14, rtol=8.9e-16))
+                return _root(max(lo, t_eps), hi)
             width *= 2.0
         raise NoReturn("no axis return found within the scan horizon")
 
@@ -444,44 +454,14 @@ def _slide_time(sys: FilippovSystem, y0: float, y1: float) -> float:
     return abs(F(y1) - F(y0))
 
 
-def _visibility_at(sys: FilippovSystem, side: str, y: float) -> str:
-    f = sys.field(side)
-    a12 = float(f.A[0, 1])
-    vel = f.velocity((0.0, y))
-    kappa = a12 * float(vel[1])
-    if abs(kappa) <= 1e-10 * (1.0 + abs(a12) + float(np.hypot(*vel))):
-        return "degenerate"
-    if (kappa > 0.0) == (side == "right"):
-        return "visible"
-    return "invisible"
-
-
-def _sliding_breakpoints(sys: FilippovSystem) -> list[float]:
-    bps = []
-    for f in (sys.left, sys.right):
-        a12, b1 = f.axis_vx_coeffs()
-        if a12 != 0.0:
-            bps.append(-b1 / a12)
-    return sorted(bps)
-
-
 def _sliding_zero_ahead(sys: FilippovSystem, y: float, target: float) -> Optional[float]:
     """Zero of the sliding numerator between y (exclusive) and target (inclusive)."""
-    n2, n1, n0 = sliding_numerator_coeffs(sys)
-    roots: list[float] = []
-    if abs(n2) > 1e-14 * (1.0 + abs(n1) + abs(n0)):
-        disc = n1 * n1 - 4.0 * n2 * n0
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            roots = [(-n1 - s) / (2.0 * n2), (-n1 + s) / (2.0 * n2)]
-    elif n1 != 0.0:
-        roots = [-n0 / n1]
     tol = 1e-12 * (1.0 + abs(y))
     if target >= y:
         lo, hi = y + tol, (target + tol if math.isfinite(target) else math.inf)
     else:
         lo, hi = (target - tol if math.isfinite(target) else -math.inf), y - tol
-    inside = [r for r in roots if lo < r < hi]
+    inside = [r for r in sliding_numerator_roots(sys) if lo < r < hi]
     if not inside:
         return None
     return min(inside, key=lambda r: abs(r - y))
@@ -507,34 +487,30 @@ def _axis_mode(sys: FilippovSystem, y: float) -> tuple[str, object]:
     if label is RegionLabel.CROSSING:
         return "arc", ("right" if vp > 0.0 else "left")
 
-    if label in SLIDING_LABELS:
-        fs = sliding_field(sys, y)
-        if abs(fs) <= 1e-12 * (1.0 + abs(y)):
-            return "terminal", TerminalEvent("PseudoEquilibrium", point=point)
-        return "slide", (1 if fs > 0.0 else -1)
-
     if label is RegionLabel.TANGENCY_BOTH:
         for side in ("right", "left"):
-            if _visibility_at(sys, side, y) == "visible":
+            if tangency_visibility(sys.field(side), side, y) == "visible":
                 return "arc", side
         raise DegenerateTangency(f"double tangency at y={y} with no visible side")
 
-    side = "right" if label is RegionLabel.TANGENCY_RIGHT else "left"
-    vis = _visibility_at(sys, side, y)
-    if vis == "degenerate":
-        raise DegenerateTangency(f"{side} tangency at y={y} has vanishing curvature")
-    if vis == "visible":
-        return "arc", side
-    # Invisible contact: the transversal field decides between sliding into
-    # the adjacent band and crossing into the other zone.
-    other_v = vm if side == "right" else vp
-    toward_axis = other_v > 0.0 if side == "right" else other_v < 0.0
-    if toward_axis:
-        fs = sliding_field(sys, y)
-        if abs(fs) <= 1e-12 * (1.0 + abs(y)):
-            return "terminal", TerminalEvent("PseudoEquilibrium", point=point)
-        return "slide", (1 if fs > 0.0 else -1)
-    return "arc", ("left" if side == "right" else "right")
+    if label not in SLIDING_LABELS:
+        side = "right" if label is RegionLabel.TANGENCY_RIGHT else "left"
+        vis = tangency_visibility(sys.field(side), side, y)
+        if vis == "degenerate":
+            raise DegenerateTangency(f"{side} tangency at y={y} has vanishing curvature")
+        if vis == "visible":
+            return "arc", side
+        # Invisible contact: the transversal field decides between sliding into
+        # the adjacent band and crossing into the other zone.
+        other_v = vm if side == "right" else vp
+        toward_axis = other_v > 0.0 if side == "right" else other_v < 0.0
+        if not toward_axis:
+            return "arc", ("left" if side == "right" else "right")
+
+    fs = sliding_field(sys, y)
+    if abs(fs) <= 1e-12 * (1.0 + abs(y)):
+        return "terminal", TerminalEvent("PseudoEquilibrium", point=point)
+    return "slide", (1 if fs > 0.0 else -1)
 
 
 def _no_return_terminal(field: AffineField, side: str) -> TerminalEvent:
@@ -562,7 +538,7 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
     elapsed = 0.0
 
     tangency_ys = [t.y for t in tangency_points(sys)]
-    breakpoints = _sliding_breakpoints(sys)
+    breakpoints = axis_breakpoints(sys)
 
     def _snap_to_tangency(y: float) -> float:
         for yt in tangency_ys:

@@ -43,30 +43,33 @@ class HalfMapContext:
     shear: Optional[TransformRecord] = None
 
 
-def phi(sign: int, t: float, ctx: HalfMapContext) -> float:
+def phi(sign: int, t: float, gamma3: float, nu: float) -> float:
     """Left-map helper 1 - e^(s*g3*t) (cos(nu t) - s*(g3/nu) sin(nu t))."""
     s = 1.0 if sign > 0 else -1.0
-    g3 = ctx.params.gamma3
-    nu = ctx.nu
-    return 1.0 - math.exp(s * g3 * t) * (
-        math.cos(nu * t) - s * (g3 / nu) * math.sin(nu * t)
+    return 1.0 - math.exp(s * gamma3 * t) * (
+        math.cos(nu * t) - s * (gamma3 / nu) * math.sin(nu * t)
     )
 
 
-def psi(sign: int, t: float, ctx: HalfMapContext) -> float:
+def psi(sign: int, t: float, alpha: float) -> float:
     """Right-map helper 1 - e^(s*alpha*t) (cos t - s*alpha sin t)."""
     s = 1.0 if sign > 0 else -1.0
-    a = ctx.params.alpha
-    return 1.0 - math.exp(s * a * t) * (math.cos(t) - s * a * math.sin(t))
+    return 1.0 - math.exp(s * alpha * t) * (math.cos(t) - s * alpha * math.sin(t))
 
 
-def _root_in(f, fprime, lo: float, hi: float) -> float:
-    t = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+def _polished_root(f, fprime, lo: float, hi: float, xtol: float = 1e-14) -> float:
+    """Root of f bracketed by [lo, hi]: brentq, then at most two Newton steps,
+    each kept only while f' is finite and nonzero and the step stays in
+    [lo, hi]."""
+    t = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
     for _ in range(2):
         d = fprime(t)
-        if d == 0.0:
+        if not math.isfinite(d) or d == 0.0:
             break
-        t -= f(t) / d
+        t_new = t - f(t) / d
+        if not lo <= t_new <= hi:
+            break
+        t = t_new
     return t
 
 
@@ -78,28 +81,26 @@ def solve_t_hats(params: CanonicalParams) -> tuple[float, float]:
     g3 = params.gamma3
     nu = params.nu
 
-    def psi_plus(t):
-        return 1.0 - math.exp(a * t) * (math.cos(t) - a * math.sin(t))
-
-    def psi_plus_prime(t):
-        return (1.0 + a * a) * math.exp(a * t) * math.sin(t)
-
-    def phi_plus(t):
-        return 1.0 - math.exp(g3 * t) * (math.cos(nu * t) - (g3 / nu) * math.sin(nu * t))
-
-    def phi_plus_prime(t):
-        return (nu + g3 * g3 / nu) * math.exp(g3 * t) * math.sin(nu * t)
-
-    t_plus = _root_in(psi_plus, psi_plus_prime, math.pi, 2.0 * math.pi)
-    t_minus = _root_in(phi_plus, phi_plus_prime, math.pi / nu, 2.0 * math.pi / nu)
+    t_plus = _polished_root(
+        lambda t: psi(+1, t, a),
+        lambda t: (1.0 + a * a) * math.exp(a * t) * math.sin(t),
+        math.pi,
+        2.0 * math.pi,
+    )
+    t_minus = _polished_root(
+        lambda t: phi(+1, t, g3, nu),
+        lambda t: (nu + g3 * g3 / nu) * math.exp(g3 * t) * math.sin(nu * t),
+        math.pi / nu,
+        2.0 * math.pi / nu,
+    )
     # residual tolerance has to scale with the exponential prefactor: near
     # t = 2 pi / nu the function value lives on a grid of spacing
     # ~ eps * e^(gamma3 t), which can dwarf any fixed absolute threshold
     scale_p = 1.0 + math.exp(a * t_plus) * (1.0 + a)
     scale_m = 1.0 + math.exp(g3 * t_minus) * (1.0 + g3 / nu)
     if (
-        abs(psi_plus(t_plus)) >= _T_RESIDUAL * scale_p
-        or abs(phi_plus(t_minus)) >= _T_RESIDUAL * scale_m
+        abs(psi(+1, t_plus, a)) >= _T_RESIDUAL * scale_p
+        or abs(phi(+1, t_minus, g3, nu)) >= _T_RESIDUAL * scale_m
     ):
         raise ConditionViolated("half-turn residuals failed to converge")
     return t_minus, t_plus
@@ -143,8 +144,8 @@ def right_map_param(t_plus: float, ctx: HalfMapContext) -> tuple[float, float]:
         # psi_+ vanishes here; psi_-(t) = c sin^2 t at the root
         return 0.0, beta * math.exp(a * t_plus) * math.sin(t_plus)
     s = math.sin(t_plus)
-    y = -(beta / c) * math.exp(-a * t_plus) * psi(+1, t_plus, ctx) / s
-    p = (beta / c) * math.exp(a * t_plus) * psi(-1, t_plus, ctx) / s
+    y = -(beta / c) * math.exp(-a * t_plus) * psi(+1, t_plus, a) / s
+    p = (beta / c) * math.exp(a * t_plus) * psi(-1, t_plus, a) / s
     return y, p
 
 
@@ -158,8 +159,8 @@ def left_map_param(t_minus: float, ctx: HalfMapContext) -> tuple[float, float]:
         return ctx.y_eta, -p.eta
     K = nu * (p.rho - p.gamma3 * p.eta) / p.Delta
     s = math.sin(nu * t_minus)
-    y = -p.eta + K * phi(-1, t_minus, ctx) * math.exp(p.gamma3 * t_minus) / s
-    pl = -p.eta - K * phi(+1, t_minus, ctx) * math.exp(-p.gamma3 * t_minus) / s
+    y = -p.eta + K * phi(-1, t_minus, p.gamma3, nu) * math.exp(p.gamma3 * t_minus) / s
+    pl = -p.eta - K * phi(+1, t_minus, p.gamma3, nu) * math.exp(-p.gamma3 * t_minus) / s
     return y, pl
 
 
@@ -189,13 +190,7 @@ def _invert(y: float, param, dy_dt, pole: float, hi: float, ctx: HalfMapContext)
             raise PoleUnresolved(f"height {y} needs an arc time closer to {pole} than {floor}")
         gap /= 8.0
         lo = max(pole + gap, floor)
-    t = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    for _ in range(2):
-        d = dy_dt(t, ctx)
-        if d == 0.0 or not pole < t - f(t) / d <= hi:
-            break
-        t -= f(t) / d
-    return t
+    return _polished_root(f, lambda t: dy_dt(t, ctx), lo, hi)
 
 
 def _invert_right(y: float, ctx: HalfMapContext) -> float:
@@ -281,28 +276,10 @@ def displacement(y: float, ctx: HalfMapContext) -> float:
     return P_L_inv(y, ctx) - P_R(y, ctx)
 
 
-def _d_prime(y: float, ctx: HalfMapContext) -> float:
-    rec = derivatives(y, ctx)
-    return rec.dPLinv - rec.dPR
-
-
 @dataclass(frozen=True)
 class DisplacementZero:
     y_zero: float
     D_prime_sign: int  # +1 rising, -1 falling, 0 tangential
-
-
-def _refine_zero(ctx: HalfMapContext, lo: float, hi: float) -> float:
-    y = brentq(lambda v: displacement(v, ctx), lo, hi, xtol=1e-15, rtol=8.9e-16)
-    for _ in range(2):
-        d = _d_prime(y, ctx)
-        if not math.isfinite(d) or d == 0.0:
-            break
-        step = displacement(y, ctx) / d
-        if not (lo <= y - step <= hi):
-            break
-        y -= step
-    return y
 
 
 def zeros_of_D(ctx: HalfMapContext) -> list[DisplacementZero]:
@@ -311,6 +288,15 @@ def zeros_of_D(ctx: HalfMapContext) -> list[DisplacementZero]:
     The search grows the horizon geometrically until both D and D' are
     positive (guaranteed by the asymptotic slope), capped at 1e12.
     """
+
+    def D_prime(y: float) -> float:
+        rec = derivatives(y, ctx)
+        return rec.dPLinv - rec.dPR
+
+    def zero_in(lo: float, hi: float, sign: int) -> DisplacementZero:
+        y = _polished_root(lambda v: displacement(v, ctx), D_prime, lo, hi, xtol=1e-15)
+        return DisplacementZero(y, sign)
+
     y0 = ctx.y_star
     D0 = displacement(y0, ctx)
     zeros: list[DisplacementZero] = []
@@ -321,30 +307,24 @@ def zeros_of_D(ctx: HalfMapContext) -> list[DisplacementZero]:
         zeros.append(DisplacementZero(y_zero=y0, D_prime_sign=-1))
 
     Y = y0 + 1.0
-    while Y < _Y_CAP and not (displacement(Y, ctx) > 0.0 and _d_prime(Y, ctx) > 0.0):
+    while Y < _Y_CAP and not (displacement(Y, ctx) > 0.0 and D_prime(Y) > 0.0):
         Y = y0 + (Y - y0) * 2.0
 
     if abs(D0) <= _ENDPOINT_ZERO_TOL or D0 > 0.0:
-        slope0 = _d_prime(probe, ctx)
+        slope0 = D_prime(probe)
         if slope0 < 0.0:
-            y_min = brentq(lambda v: _d_prime(v, ctx), probe, Y, xtol=1e-13, rtol=8.9e-16)
+            y_min = brentq(D_prime, probe, Y, xtol=1e-13, rtol=8.9e-16)
             D_min = displacement(y_min, ctx)
             if abs(D0) <= _ENDPOINT_ZERO_TOL:
                 if D_min < -_ZERO_REFINE_TOL:
-                    zeros.append(
-                        DisplacementZero(_refine_zero(ctx, y_min, Y), D_prime_sign=1)
-                    )
+                    zeros.append(zero_in(y_min, Y, 1))
             elif D_min < -_ZERO_REFINE_TOL:
-                zeros.append(
-                    DisplacementZero(_refine_zero(ctx, probe, y_min), D_prime_sign=-1)
-                )
-                zeros.append(
-                    DisplacementZero(_refine_zero(ctx, y_min, Y), D_prime_sign=1)
-                )
+                zeros.append(zero_in(probe, y_min, -1))
+                zeros.append(zero_in(y_min, Y, 1))
             elif abs(D_min) <= _ZERO_REFINE_TOL:
                 zeros.append(DisplacementZero(y_zero=y_min, D_prime_sign=0))
         # slope nonnegative from the start: D increasing, no further zeros
     else:
         # D starts negative: convexity leaves exactly one rising zero
-        zeros.append(DisplacementZero(_refine_zero(ctx, y0, Y), D_prime_sign=1))
+        zeros.append(zero_in(y0, Y, 1))
     return zeros

@@ -100,16 +100,6 @@ class CoexistenceReport:
 # Orbit post-processing helpers
 
 
-def _reversed_field(f: AffineField) -> AffineField:
-    return AffineField(-np.asarray(f.A, dtype=float), -np.asarray(f.b, dtype=float))
-
-
-def _reversed_system(sys: FilippovSystem) -> FilippovSystem:
-    return FilippovSystem(
-        left=_reversed_field(sys.left), right=_reversed_field(sys.right)
-    )
-
-
 def _lap_segments(orbit: Orbit) -> tuple:
     start = orbit.lap_start if orbit.lap_start is not None else 0
     return orbit.segments[start:]
@@ -193,7 +183,7 @@ def find_sliding_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodic
     """
     found: list[PeriodicOrbitRecord] = []
     seen: list[tuple] = []
-    runs = ((sys, False), (_reversed_system(sys), True))
+    runs = ((sys, False), (sys.time_reversed(), True))
     for work, reversed_time in runs:
         for tp in tangency_points(work):
             if tp.visibility != "visible":
@@ -662,7 +652,7 @@ def solve_rho_c(alpha: float) -> float:
     which is linear in rho and solved in closed form.
     """
     right = _example1_system(alpha, 0.0).right
-    _, z = first_return_to_axis(_reversed_field(right), (0.0, -1.0), "right")
+    _, z = first_return_to_axis(right.negated(), (0.0, -1.0), "right")
     y2 = float(z[1])
     probe = CanonicalParams(
         alpha=alpha, beta=1.0, delta=1, eta=1.0, rho=0.0,

@@ -31,7 +31,7 @@ from .core import (
 from .errors import FilippovError
 from .flow import Orbit
 from .periodic import CoexistenceReport, coexistence
-from .specfile import SystemSpecFile
+from .specfile import SystemSpecFile, spec_obj
 
 __all__ = ["AnalysisReport", "build_report", "report_to_json", "format_csv"]
 
@@ -89,21 +89,6 @@ def build_report(spec: SystemSpecFile, seed: int = DEFAULT_SEED) -> AnalysisRepo
 
 # ---------------------------------------------------------------------------
 # JSON rendering
-
-
-def _spec_obj(spec: SystemSpecFile) -> dict:
-    obj: dict = {}
-    if spec.name:
-        obj["name"] = spec.name
-    if spec.comment:
-        obj["comment"] = spec.comment
-    obj["A_plus"] = [list(spec.A_plus[0]), list(spec.A_plus[1])]
-    obj["b_plus"] = list(spec.b_plus)
-    obj["A_minus"] = [list(spec.A_minus[0]), list(spec.A_minus[1])]
-    obj["b_minus"] = list(spec.b_minus)
-    obj["c"] = list(spec.c)
-    obj["d"] = spec.d
-    return obj
 
 
 def _sigma_obj(sigma: SigmaDecomposition) -> dict:
@@ -228,7 +213,7 @@ def report_to_json(report: AnalysisReport) -> str:
     obj = {
         "version": report.version,
         "seed": report.seed,
-        "spec": _spec_obj(report.spec),
+        "spec": spec_obj(report.spec),
         "switching_line": _sigma_obj(report.sigma),
         "equilibria": {
             side: _equilibrium_obj(report.equilibria[side])

@@ -22,11 +22,11 @@ from .errors import SpecFileError, ZeroNormal
 __all__ = [
     "SystemSpecFile",
     "parse_spec",
+    "spec_obj",
     "serialize_spec",
     "load_spec",
     "resolve_spec",
     "bundled_examples",
-    "bundled_names",
 ]
 
 BUNDLED_NAMES = (
@@ -138,8 +138,8 @@ def parse_spec(source: str | bytes | dict) -> SystemSpecFile:
     return SystemSpecFile(**fields)
 
 
-def serialize_spec(spec: SystemSpecFile) -> str:
-    """Deterministic JSON text; parse(serialize(s)) == s byte for byte."""
+def spec_obj(spec: SystemSpecFile) -> dict:
+    """The spec as a dict in the fixed key order; empty name and comment left out."""
     obj: dict = {}
     if spec.name:
         obj["name"] = spec.name
@@ -151,7 +151,12 @@ def serialize_spec(spec: SystemSpecFile) -> str:
     obj["b_minus"] = list(spec.b_minus)
     obj["c"] = list(spec.c)
     obj["d"] = spec.d
-    return json.dumps(obj, indent=2) + "\n"
+    return obj
+
+
+def serialize_spec(spec: SystemSpecFile) -> str:
+    """Deterministic JSON text; parse(serialize(s)) == s byte for byte."""
+    return json.dumps(spec_obj(spec), indent=2) + "\n"
 
 
 def load_spec(path: str) -> SystemSpecFile:
@@ -170,10 +175,6 @@ def _bundled_text(name: str) -> str:
         )
     except (FileNotFoundError, ModuleNotFoundError) as exc:
         raise SpecFileError(f"no bundled spec named {name!r}") from exc
-
-
-def bundled_names() -> tuple[str, ...]:
-    return BUNDLED_NAMES
 
 
 def bundled_examples() -> list[SystemSpecFile]:

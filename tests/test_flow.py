@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from filippov.acceptance import _random_addcond_params
 from filippov.core import AffineField, FilippovSystem, RegionLabel, classify_point
-from filippov.errors import DomainError, NoReturn
+from filippov.errors import DomainError, FilippovError, NoReturn, ReturnOverflow
 from filippov.flow import (
     FlowSegment,
     SlideSegment,
@@ -188,6 +189,25 @@ def test_first_return_from_near_double_root_keeps_positive_time():
     want = _helper_expm_flow(f, (0.0, y0), t_hit)
     assert abs(want[0]) < 1e-12
     assert want[1] == pytest.approx(z_hit[1], abs=1e-12)
+
+
+def test_first_return_near_nilpotent_field_never_returns():
+    # lam = 1.9e-168 is nonzero but lam * lam underflows to 0; x(t) = t e^(lam t) > 0
+    f = AffineField([[1.9e-168, 1.0], [0.0, 1.9e-168]], [0.0, 0.0])
+    with pytest.raises(NoReturn):
+        first_return_to_axis(f, (0.0, 1.0), "right")
+
+
+def test_first_return_out_of_float_range_raises_overflow():
+    # check 6's canonical draw 18 at seed 20260823: the right arc from this
+    # height lands past -1.8e308, which used to come back as y = -inf
+    rng = np.random.default_rng(20260823)
+    for _ in range(18):
+        _random_addcond_params(rng)
+    sys = _random_addcond_params(rng).realize()
+    with pytest.raises(ReturnOverflow) as info:
+        first_return_to_axis(sys.right, (0.0, 6.490810291266325e306), "right")
+    assert isinstance(info.value, FilippovError) and isinstance(info.value, OverflowError)
 
 
 def _helper_rotation_invariant(field, u):

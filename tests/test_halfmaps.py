@@ -71,7 +71,7 @@ def _helper_random_params(rng):
 
 def test_psi_plus_at_pi_is_one_plus_exp():
     ctx = _helper_context(alpha=0.7)
-    assert psi(+1, math.pi, ctx) == pytest.approx(1.0 + math.exp(0.7 * math.pi), rel=1e-14)
+    assert psi(+1, math.pi, ctx.params.alpha) == pytest.approx(1.0 + math.exp(0.7 * math.pi), rel=1e-14)
 
 
 def test_solve_t_hats_alpha_one_reproduces_t_star():
@@ -79,8 +79,8 @@ def test_solve_t_hats_alpha_one_reproduces_t_star():
     assert t_plus == pytest.approx(T_STAR, abs=1e-12)
     # residuals below the context invariant threshold
     ctx = _helper_context()
-    assert abs(psi(+1, t_plus, ctx)) < 1e-12
-    assert abs(phi(+1, t_minus, ctx)) < 1e-12
+    assert abs(psi(+1, t_plus, ctx.params.alpha)) < 1e-12
+    assert abs(phi(+1, t_minus, ctx.params.gamma3, ctx.nu)) < 1e-12
     assert math.pi / ctx.nu < t_minus <= 2.0 * math.pi / ctx.nu
 
 

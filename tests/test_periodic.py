@@ -9,12 +9,13 @@ landings for the curated systems.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from filippov.acceptance import _random_system
+from filippov.acceptance import _random_addcond_params, _random_system
 from filippov.canonical import check_premises, to_canonical
 from filippov.core import AffineField, FilippovSystem, equilibrium_info
 from filippov.errors import TheoremViolation
@@ -23,7 +24,6 @@ from filippov.halfmaps import make_context, zeros_of_D
 from filippov.periodic import (
     ConfigurationLabel,
     _check_exclusions,
-    _reversed_system,
     classify_configuration,
     coexistence,
     find_crossing_orbits,
@@ -191,7 +191,7 @@ def test_time_reversal_swaps_stability_and_inverts_multiplier():
     for n in (5, 6):
         sys = _helper_example(n)
         fwd = coexistence(sys)
-        bwd = coexistence(_reversed_system(sys))
+        bwd = coexistence(sys.time_reversed())
         assert (fwd.n_crossing, fwd.n_sliding) == (bwd.n_crossing, bwd.n_sliding)
         assert _helper_tags(fwd) == _helper_tags(bwd)
         for mf, mb in zip(_helper_crossing_mults(fwd), _helper_crossing_mults(bwd)):
@@ -199,7 +199,7 @@ def test_time_reversal_swaps_stability_and_inverts_multiplier():
     st_fwd = {r.configuration.frame[2] for r in coexistence(_helper_example(6)).records if r.configuration}
     st_bwd = {
         r.configuration.frame[2]
-        for r in coexistence(_reversed_system(_helper_example(6))).records
+        for r in coexistence(_helper_example(6).time_reversed()).records
         if r.configuration
     }
     assert st_fwd == {1} and st_bwd == {-1}
@@ -404,3 +404,18 @@ def test_scan_reports_only_closing_crossing_cycles(seed, draw):
     sys = _helper_random_draw(seed, draw)
     rep = coexistence(sys, budget=60)
     _helper_assert_crossings_close(sys, rep)
+
+
+@pytest.mark.parametrize("draw, counts", [(18, (0, 1)), (40, (0, 0))])
+def test_canonical_draws_whose_orbits_leave_float_range(draw, counts):
+    # check 6's canonical draws at seed 20260823: a tangency orbit spirals out
+    # past 1e307, where a first return used to land at y = -inf or at a height
+    # whose velocity overflows, and end in a spurious equilibrium
+    rng = np.random.default_rng(20260823)
+    for _ in range(draw):
+        _random_addcond_params(rng)
+    sys = _random_addcond_params(rng).realize()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = coexistence(sys)
+    assert (rep.n_crossing, rep.n_sliding) == counts
