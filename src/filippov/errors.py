@@ -67,6 +67,16 @@ class NoReturn(FilippovError):
     """The orbit leaves the axis and never comes back to it."""
 
 
+class RootNotBracketed(FilippovError, ValueError):
+    """Bracketed root search given ends where f has the same sign, or a NaN
+    from f.  A ValueError, as scipy.optimize.brentq raises in both cases."""
+
+
+class RootNotConverged(FilippovError, RuntimeError):
+    """Bracketed root search that ran out of iterations.  A RuntimeError, as
+    scipy.optimize.brentq raises."""
+
+
 class DegenerateTangency(FilippovError):
     """Tangency with vanishing curvature; the orbit taxonomy assumes generic contact."""
 

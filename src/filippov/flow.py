@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     AffineField,
@@ -33,11 +32,15 @@ from .core import (
     tangency_visibility,
 )
 from .errors import DegenerateField, DegenerateTangency, DomainError, NoReturn, ReturnOverflow
+from .roots import brentq
 
 _EIG_SPLIT_TOL = 1e-9  # relative threshold between distinct and repeated eigenvalues
 _SNAP_TOL = 1e-11  # |x| below this at a critical point counts as a tangential return
 _GRAZE_TOL = 1e-10  # landing this close to a tangency snaps onto it
 _CLOSURE_TOL = 1e-8
+# Taylor coefficients (k+1)/(k+2)! of psi(z) = (z e^z - e^z + 1)/z^2, highest
+# first; eleven terms reach float precision for |z| < 0.1
+_PSI_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(10, -1, -1))
 
 
 class _Eigen:
@@ -130,8 +133,14 @@ class _Eigen:
         nb1, nb2 = self.Nb
         e = math.exp(lam * t)
         g = self._gbar(lam, t)
-        if abs(lam) * abs(t) < 1e-14:
-            h = t * t / 2.0
+        z = lam * t
+        if abs(z) < 0.1:
+            # h = t^2 psi(z), psi(z) = (z e^z - e^z + 1)/z^2: the quotient
+            # below cancels to a relative error ~ eps/|z|
+            h = 0.0
+            for c in _PSI_SERIES:
+                h = h * z + c
+            h *= t * t
         else:
             h = (t * e - g) / lam
         x = e * (x0 + t * (n11 * x0 + n12 * y0)) + g * self.b1 + h * nb1
@@ -180,8 +189,11 @@ def _x_series_real(ev: _Eigen, x0: float, y0: float) -> list[tuple[float, float,
         cz1 = n11 * x0 + n12 * y0
         cb0 = ev.b1
         cb1 = ev.Nb[0]
-        # below |lam| ~ 1e-154, lam * lam underflows: take the nilpotent terms
-        if lam * lam != 0.0:
+        # For |lam| below ~1e-13 the 1/lam^2 coefficients cancel, and the
+        # t-term that decides the tail falls under _tail_sign's floor (or
+        # they overflow once lam * lam underflows): take the lam -> 0 terms,
+        # which differ only at t ~ 1/lam, past 1e12 / scale.
+        if abs(lam) > 1e-12 * ev.scale:
             terms.append((x0 + cb0 / lam - cb1 / (lam * lam), lam, 0))
             terms.append((cz1 + cb1 / lam, lam, 1))
             terms.append((-cb0 / lam + cb1 / (lam * lam), 0.0, 0))

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from .canonical import CanonicalParams, shear_to_equal_gammas
 from .core import TransformRecord
 from .errors import ConditionViolated, DomainError, OutOfRange, PoleUnresolved
+from .roots import brentq
 
 _T_RESIDUAL = 1e-12
 _ENDPOINT_ZERO_TOL = 1e-9

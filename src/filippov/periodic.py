@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .canonical import CanonicalParams, to_canonical
 from .core import (
@@ -48,6 +47,7 @@ from .flow import (
     first_return_to_axis,
 )
 from .halfmaps import derivatives, make_context, solve_t_hats, zeros_of_D
+from .roots import brentq
 
 __all__ = [
     "ConfigurationLabel",

@@ -198,6 +198,18 @@ def test_first_return_near_nilpotent_field_never_returns():
         first_return_to_axis(f, (0.0, 1.0), "right")
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-170, 1e-160, 1e-17, 1e-12])
+def test_first_return_near_nilpotent_field_matches_the_nilpotent_limit(lam):
+    # x' = lam x + y + 1, y' = lam y - 1 from (0, 1): at lam = 0 the orbit is
+    # x = 2t - t^2/2, y = 1 - t, back on the axis at t = 4, y = -3.  Larger
+    # lam moves the return by ~lam; 1e-17 and 1e-160 used to raise NoReturn,
+    # and 1e-12 returned t = 4.0003 through cancellation in the flow kernel
+    f = AffineField([[lam, 1.0], [0.0, lam]], [1.0, -1.0])
+    t_hit, z_hit = first_return_to_axis(f, (0.0, 1.0), "right")
+    assert t_hit == pytest.approx(4.0, abs=1e-10)
+    assert z_hit[1] == pytest.approx(-3.0, abs=1e-10)
+
+
 def test_first_return_out_of_float_range_raises_overflow():
     # check 6's canonical draw 18 at seed 20260823: the right arc from this
     # height lands past -1.8e308, which used to come back as y = -inf

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,13 @@ def test_cli_verify_subset(capsys):
     out = capsys.readouterr().out
     assert "2/2 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing it costs most of the CLI's start
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, filippov.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.strip() == "[]"
