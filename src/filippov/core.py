@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateField, NotSlidingRegion, ZeroNormal
+from .errors import DegenerateField, NotSlidingRegion, VelocityOverflow, ZeroNormal
 
 # Absolute scale for "this quantity vanishes" decisions, multiplied by
 # 1 + local field magnitude so labeling is stable under system rescaling.
@@ -354,14 +354,17 @@ def classify_point(sys: FilippovSystem, y: float) -> RegionLabel:
     Boundary equilibria are checked first (right side before left; a point
     where both fields vanish is reported as BoundaryEquilibriumRight).  Then
     tangencies of either or both fields, then the crossing/sliding dichotomy
-    by the sign of the product of the two x-velocities.
+    by the sign of the product of the two x-velocities.  Raises
+    VelocityOverflow when either field's speed at the point is not finite.
     """
     z = np.array([0.0, float(y)])
-    f_r = sys.right.velocity(z)
-    f_l = sys.left.velocity(z)
     with np.errstate(over="ignore"):
+        f_r = sys.right.velocity(z)
+        f_l = sys.left.velocity(z)
         nr = float(np.hypot(*f_r))
         nl = float(np.hypot(*f_l))
+    if not (nr < math.inf and nl < math.inf):
+        raise VelocityOverflow(f"field speed at (0, {y}) is not a finite float")
     if nr <= VANISH_TOL * (1.0 + nr):
         return RegionLabel.BOUNDARY_EQUILIBRIUM_RIGHT
     if nl <= VANISH_TOL * (1.0 + nl):
@@ -539,6 +542,29 @@ def axis_breakpoints(sys: FilippovSystem) -> list[float]:
         if a12 != 0.0:
             bps.append(-b1 / a12)
     return sorted(bps)
+
+
+def crossing_sets(
+    sys: FilippovSystem,
+) -> tuple[Optional[tuple[float, float]], Optional[tuple[float, float]]]:
+    """Open crossing sets (launch, landing) of the axis as (lo, hi) intervals.
+
+    Both fields point right on `launch` and left on `landing`.  The two are
+    non-empty together exactly when the axis x-velocities have slopes of
+    one sign, and then they are opposite half-lines beyond the two
+    tangencies; otherwise no crossing lap exists and both are None.
+    """
+    a_r, b_r = sys.right.axis_vx_coeffs()
+    a_l, b_l = sys.left.axis_vx_coeffs()
+    if a_r == 0.0 or a_l == 0.0 or (a_r > 0.0) != (a_l > 0.0):
+        return None, None
+    t_r, t_l = -b_r / a_r, -b_l / a_l
+    lo, hi = min(t_r, t_l), max(t_r, t_l)
+    if not (-math.inf < lo and hi < math.inf):
+        return None, None
+    if a_r > 0.0:
+        return (hi, math.inf), (-math.inf, lo)
+    return (-math.inf, lo), (hi, math.inf)
 
 
 def sigma_decomposition(sys: FilippovSystem) -> SigmaDecomposition:

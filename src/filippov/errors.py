@@ -59,6 +59,12 @@ class ReturnOverflow(FilippovError, OverflowError):
     that fall back on float overflow fall back on this too."""
 
 
+class VelocityOverflow(FilippovError, OverflowError):
+    """A field's velocity at an axis point, or its speed there, is not a
+    finite float.  An OverflowError, so callers that fall back on float
+    overflow fall back on this too."""
+
+
 class DomainError(FilippovError):
     """Half map evaluated outside its y-domain."""
 

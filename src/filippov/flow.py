@@ -23,6 +23,7 @@ from .core import (
     SLIDING_LABELS,
     axis_breakpoints,
     classify_point,
+    crossing_sets,
     equilibrium_info,
     sliding_denominator_coeffs,
     sliding_field,
@@ -415,7 +416,8 @@ class SlideSegment:
 
 @dataclass(frozen=True)
 class TerminalEvent:
-    kind: str  # Closed | PseudoEquilibrium | Equilibrium | BudgetExhausted | Escape
+    # Closed | PseudoEquilibrium | Equilibrium | OutwardSpiral | BudgetExhausted | Escape
+    kind: str
     point: Optional[tuple[float, float]] = None
     period: Optional[float] = None
 
@@ -540,7 +542,9 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
 
     Crossing points pass through, attractive entries slide, slides exit at
     visible tangencies or converge to pseudo-equilibria, and closure is
-    detected on the axis with a confirmation lap.
+    detected on the axis with a confirmation lap.  A crossing lap that
+    moves outward in the launch set ends the orbit as OutwardSpiral: every
+    later lap moves further out and none can reach the sliding set.
     """
     z = np.asarray(z0, dtype=float).copy()
     segments: list = []
@@ -551,6 +555,9 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
 
     tangency_ys = [t.y for t in tangency_points(sys)]
     breakpoints = axis_breakpoints(sys)
+    launch, _ = crossing_sets(sys)
+    launch_lo, launch_hi = launch if launch is not None else (0.0, 0.0)
+    outward = 1.0 if launch_hi == math.inf else -1.0
 
     def _snap_to_tangency(y: float) -> float:
         for yt in tangency_ys:
@@ -593,6 +600,23 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
             return _stop(
                 TerminalEvent("Closed", period=elapsed - anchor[1]), lap=anchor[2]
             )
+        if matched_idx is None and len(segments) >= 2:
+            # A right arc from the launch half-line, then a left arc back to
+            # it, further out.  The half-maps P_R and P_L are decreasing (arcs
+            # from further out nest outside), so the lap map is increasing and
+            # each later lap lands further out again: no slide, no closure.
+            arc_r, arc_l = segments[-2], segments[-1]
+            if (
+                arc_l.kind == "flow"
+                and arc_l.side == "left"
+                and arc_r.kind == "flow"
+                and arc_r.side == "right"
+                and arc_r.start[0] == 0.0
+                and launch_lo < arc_r.start[1] < launch_hi
+                and launch_lo < y < launch_hi
+                and (y - arc_r.start[1]) * outward > 0.0
+            ):
+                return _stop(TerminalEvent("OutwardSpiral", point=(0.0, y)))
         if matched_idx is not None and anchor is None:
             anchor = (matched_idx, elapsed, len(segments))
         axis_states.append((y, mode_key))

@@ -22,6 +22,7 @@ from .core import (
     AffineField,
     FilippovSystem,
     RegionLabel,
+    crossing_sets,
     equilibrium_info,
     sigma_decomposition,
     tangency_points,
@@ -290,44 +291,12 @@ def _route_a_crossings(sys: FilippovSystem, budget: int) -> list[PeriodicOrbitRe
     return out
 
 
-def _half_line(a: float, b: float) -> Optional[tuple[float, float]]:
-    """Solution interval of a*y + b > 0, or None when empty."""
-    if a > 0.0:
-        return (-b / a, math.inf)
-    if a < 0.0:
-        return (-math.inf, -b / a)
-    return (-math.inf, math.inf) if b > 0.0 else None
-
-
-def _intersect(
-    u: Optional[tuple[float, float]], v: Optional[tuple[float, float]]
-) -> Optional[tuple[float, float]]:
-    if u is None or v is None:
-        return None
-    lo, hi = max(u[0], v[0]), min(u[1], v[1])
-    return (lo, hi) if lo < hi else None
-
-
 def _scan_grid(lo: float, hi: float) -> list[float]:
-    if math.isfinite(lo) and math.isfinite(hi):
-        span = hi - lo
-        ys = list(np.linspace(lo, hi, 65))
-        # refine toward both edges: roots of the return displacement pile up
-        # against the crossing-set boundary when a cycle nearly grazes
-        for j in range(2, 9):
-            off = span * 10.0 ** (-j)
-            ys.append(lo + off)
-            ys.append(hi - off)
-        return sorted(set(ys))
-    if math.isfinite(lo):
-        ys = [lo]
-        ys.extend(lo + 10.0 ** (j / 8.0) for j in range(-64, 57))
-        return ys
-    if math.isfinite(hi):
-        ys = [hi - 10.0 ** (j / 8.0) for j in range(56, -65, -1)]
-        ys.append(hi)
-        return ys
-    return [math.copysign(10.0 ** (abs(j) / 8.0), j) for j in range(-64, 57) if j != 0]
+    """Scan heights on a launch half-line: its finite edge, then offsets
+    from it growing geometrically from 1e-8 to 1e7."""
+    if hi == math.inf:
+        return [lo] + [lo + 10.0 ** (j / 8.0) for j in range(-64, 57)]
+    return [hi - 10.0 ** (j / 8.0) for j in range(56, -65, -1)] + [hi]
 
 
 def _crossings_by_scan(sys: FilippovSystem, budget: int) -> list[PeriodicOrbitRecord]:
@@ -338,11 +307,8 @@ def _crossings_by_scan(sys: FilippovSystem, budget: int) -> list[PeriodicOrbitRe
     where both fields point rightward; the landing of the right arc must sit
     where both point leftward or the composite return is undefined.
     """
-    a_r, b_r = sys.right.axis_vx_coeffs()
-    a_l, b_l = sys.left.axis_vx_coeffs()
-    launch = _intersect(_half_line(a_r, b_r), _half_line(a_l, b_l))
-    landing = _intersect(_half_line(-a_r, -b_r), _half_line(-a_l, -b_l))
-    if launch is None or landing is None:
+    launch, landing = crossing_sets(sys)
+    if launch is None:
         return []
 
     lo, hi = landing

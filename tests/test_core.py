@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from filippov.core import (
     RegionLabel,
     SLIDING_LABELS,
     classify_point,
+    crossing_sets,
     equilibrium_info,
     normalize_to_y_axis,
     pseudo_equilibria,
@@ -20,7 +23,13 @@ from filippov.core import (
     sliding_field,
     tangency_points,
 )
-from filippov.errors import DegenerateField, NotSlidingRegion, ZeroNormal
+from filippov.errors import (
+    DegenerateField,
+    FilippovError,
+    NotSlidingRegion,
+    VelocityOverflow,
+    ZeroNormal,
+)
 
 
 def _helper_canonical_system(alpha, beta, gamma1, delta, gamma2, gamma3, eta, rho):
@@ -339,6 +348,47 @@ def test_classify_point_total(entries, y):
         right=AffineField([[e[6], e[7]], [e[8], e[9]]], [e[10], e[11]]),
     )
     assert classify_point(sys, y) in RegionLabel
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_classify_point_names_a_velocity_overflow():
+    # the left x-velocity at (0, 1e300) is 1e310: it used to warn "overflow
+    # encountered in matmul" and classify from an infinite velocity
+    sys = FilippovSystem(
+        left=AffineField([[0.0, 1e10], [-1.0, 0.0]], [1.0, 0.0]),
+        right=AffineField([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0]),
+    )
+    assert classify_point(sys, 1e280) is RegionLabel.CROSSING
+    with pytest.raises(VelocityOverflow) as info:
+        classify_point(sys, 1e300)
+    assert isinstance(info.value, FilippovError) and isinstance(info.value, OverflowError)
+
+
+def test_crossing_sets_match_the_pointwise_labels():
+    rng = np.random.default_rng(17)
+    both = 0
+    for _ in range(300):
+        M = rng.uniform(-3.0, 3.0, size=(2, 2, 3))
+        sys = FilippovSystem(
+            left=AffineField(M[0][:, :2], M[0][:, 2]),
+            right=AffineField(M[1][:, :2], M[1][:, 2]),
+        )
+        launch, landing = crossing_sets(sys)
+        same_sign = sys.right.A[0, 1] * sys.left.A[0, 1] > 0.0
+        assert (launch is not None) == same_sign and (landing is not None) == same_sign
+        if launch is None:
+            continue
+        both += 1
+        # opposite half-lines, each bounded by one of the two tangencies
+        assert math.inf in (launch[1], landing[1]) and -math.inf in (launch[0], landing[0])
+        assert launch[1] != landing[1]
+        for y in np.linspace(-8.0, 8.0, 81):
+            y = float(y)
+            crossing = classify_point(sys, y) is RegionLabel.CROSSING
+            vp = sys.vx_right(y)
+            assert (launch[0] < y < launch[1]) == (crossing and vp > 0.0)
+            assert (landing[0] < y < landing[1]) == (crossing and vp < 0.0)
+    assert both > 100
 
 
 def test_sliding_singular_point_limit():

@@ -8,9 +8,22 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from filippov.acceptance import _random_addcond_params
-from filippov.core import AffineField, FilippovSystem, RegionLabel, classify_point
-from filippov.errors import DomainError, FilippovError, NoReturn, ReturnOverflow
+from filippov.acceptance import _random_addcond_params, _random_system
+from filippov.core import (
+    AffineField,
+    FilippovSystem,
+    RegionLabel,
+    classify_point,
+    crossing_sets,
+    tangency_points,
+)
+from filippov.errors import (
+    DomainError,
+    FilippovError,
+    NoReturn,
+    ReturnOverflow,
+    VelocityOverflow,
+)
 from filippov.flow import (
     FlowSegment,
     SlideSegment,
@@ -444,3 +457,97 @@ def test_orbit_never_slides_on_repulsive_points_from_interior_start():
                 mid = 0.5 * (seg.y_start + seg.y_end)
                 assert classify_point(sys, mid) is not RegionLabel.REPULSIVE_SLIDING
     assert launched > 25
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_orbit_into_an_overflowing_axis_velocity_raises_named_error():
+    # the right center carries (1e299, 1e299) to the axis near |y| = 1.4e299,
+    # where the left x-velocity is ~1e309
+    sys = FilippovSystem(
+        left=AffineField([[0.0, 1e10], [-1.0, 0.0]], [1.0, 0.0]),
+        right=AffineField([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0]),
+    )
+    with pytest.raises(VelocityOverflow):
+        filippov_orbit(sys, (1e299, 1e299))
+
+
+def test_tangency_orbit_that_spirals_out_ends_at_its_first_outward_lap():
+    # canonical draw 0 at seed 20260823: from the visible left tangency the
+    # orbit crosses outward forever, and used to run its 200-segment budget
+    rng = np.random.default_rng(20260823)
+    sys = _random_addcond_params(rng).realize()
+    (tp,) = [t for t in tangency_points(sys) if t.side == "left"]
+    assert tp.visibility == "visible"
+    orbit = filippov_orbit(sys, tp.location)
+    assert orbit.terminal_event.kind == "OutwardSpiral"
+    assert [(s.kind, s.side) for s in orbit.segments] == [
+        ("flow", "left"),
+        ("flow", "right"),
+        ("flow", "left"),
+    ]
+    launch, _ = crossing_sets(sys)
+    y_prev, y = orbit.segments[1].start[1], orbit.terminal_event.point[1]
+    assert launch[0] < y_prev < y < launch[1] == math.inf
+    assert y == orbit.segments[-1].end[1]
+
+
+def test_orbit_from_an_interior_point_is_not_judged_from_that_point():
+    # time-reversed canonical draw 0 spirals inward into the right zone's
+    # equilibrium.  Started mid-way along a right arc, at a height inside the
+    # launch set, the orbit's next left arc lands further out than that
+    # height; only a right arc launched from the axis bounds the next lap
+    rng = np.random.default_rng(20260823)
+    sys = _random_addcond_params(rng).realize().time_reversed()
+    launch, _ = crossing_sets(sys)
+    t, _ = first_return_to_axis(sys.right, (0.0, -20.0), "right")
+    z_mid = linear_flow(sys.right, (0.0, -20.0), 0.5 * t)
+    assert z_mid[0] > 0.0 and launch[0] < z_mid[1] < launch[1]
+    orbit = filippov_orbit(sys, tuple(z_mid))
+    assert orbit.terminal_event.kind == "Equilibrium"
+
+
+def _helper_outward_spirals(systems):
+    """(system, height) at which each visible-tangency orbit of the systems,
+    forward and time-reversed, ends as OutwardSpiral."""
+    for sys in systems:
+        for work in (sys, sys.time_reversed()):
+            for tp in tangency_points(work):
+                if tp.visibility != "visible":
+                    continue
+                try:
+                    orbit = filippov_orbit(work, tp.location)
+                except OverflowError:
+                    continue
+                if orbit.terminal_event.kind == "OutwardSpiral":
+                    yield work, orbit.terminal_event.point[1]
+
+
+def test_outward_spiral_laps_keep_moving_out():
+    # the argument behind OutwardSpiral, checked lap by lap: from the height
+    # where the orbit stopped, each right arc lands in the landing set and
+    # each left arc comes back to the launch set further out, until a return
+    # no longer exists or leaves float range.  Laps that converge onto an
+    # outer crossing cycle (random draw 40, time-reversed, at y = -2046.14)
+    # stall there in floats, so a lap may stay put but never move in
+    rng_c = np.random.default_rng(20260823)
+    rng_r = np.random.default_rng(20260823)
+    canonical = [_random_addcond_params(rng_c).realize() for _ in range(120)]
+    random = [_random_system(rng_r) for _ in range(120)]
+    checked = 0
+    for work, y in _helper_outward_spirals(canonical + random):
+        launch, landing = crossing_sets(work)
+        outward = 1.0 if launch[1] == math.inf else -1.0
+        for _ in range(100):
+            try:
+                _, z = first_return_to_axis(work.right, (0.0, y), "right")
+                u = float(z[1])
+                assert landing[0] < u < landing[1]
+                _, z = first_return_to_axis(work.left, (0.0, u), "left")
+            except (NoReturn, ReturnOverflow):
+                break
+            y_next = float(z[1])
+            assert launch[0] < y_next < launch[1]
+            assert (y_next - y) * outward >= 0.0
+            y = y_next
+        checked += 1
+    assert checked >= 150

@@ -17,8 +17,9 @@ import pytest
 
 from filippov.acceptance import _random_addcond_params, _random_system
 from filippov.canonical import check_premises, to_canonical
+from filippov import flow
 from filippov.core import AffineField, FilippovSystem, equilibrium_info
-from filippov.errors import TheoremViolation
+from filippov.errors import DegenerateField, DegenerateTangency, TheoremViolation
 from filippov.flow import filippov_orbit, first_return_to_axis
 from filippov.halfmaps import make_context, zeros_of_D
 from filippov.periodic import (
@@ -33,6 +34,7 @@ from filippov.periodic import (
     solve_eta_c,
     solve_rho_c,
 )
+from filippov.specfile import resolve_spec
 
 BETA_GRAZE = 0.02711373861726224
 RHO_C_005 = -0.03579668380274186
@@ -419,3 +421,41 @@ def test_canonical_draws_whose_orbits_leave_float_range(draw, counts):
         warnings.simplefilter("error", RuntimeWarning)
         rep = coexistence(sys)
     assert (rep.n_crossing, rep.n_sliding) == counts
+
+
+@pytest.mark.parametrize("name", ["example6", "crossing_sliding_rho"])
+def test_orbit_started_on_a_crossing_cycle_still_closes(name):
+    # the closure check runs before the outward-spiral test, so a start on
+    # the cycle that drifts by rounding closes instead of ending OutwardSpiral
+    sys = resolve_spec(name).normalized()
+    ys = _helper_crossing_ys(coexistence(sys))
+    assert ys
+    for y in ys:
+        orbit = filippov_orbit(sys, (0.0, y))
+        assert orbit.terminal_event.kind == "Closed"
+        lap = orbit.segments[orbit.lap_start :]
+        assert [s.kind for s in lap] == ["flow", "flow"]
+
+
+def test_sliding_search_first_returns_stay_bounded(monkeypatch):
+    # deterministic work guard: axis returns spent by find_sliding_orbits on
+    # the first 60 canonical draws at seed 20260823.  Following outward
+    # spirals to the segment budget took 18,037; stopping them at the first
+    # outward lap takes about 500
+    calls = 0
+    inner = flow.first_return_to_axis
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(flow, "first_return_to_axis", counted)
+    rng = np.random.default_rng(20260823)
+    for _ in range(60):
+        sys = _random_addcond_params(rng).realize()
+        try:
+            find_sliding_orbits(sys)
+        except (DegenerateField, DegenerateTangency):
+            continue
+    assert 0 < calls <= 600
