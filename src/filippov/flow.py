@@ -537,6 +537,16 @@ def _no_return_terminal(field: AffineField, side: str) -> TerminalEvent:
     return TerminalEvent("Escape")
 
 
+def snap_to_tangency(y: float, tangency_ys, grazes: list) -> float:
+    """An arc landing at height y grazes a tangency within _GRAZE_TOL of it:
+    return that tangency's height, recorded in `grazes`, else y itself."""
+    for yt in tangency_ys:
+        if abs(y - yt) <= _GRAZE_TOL * (1.0 + abs(yt)) and y != yt:
+            grazes.append(yt)
+            return yt
+    return y
+
+
 def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
     """Forward orbit from z0 under the Filippov convention.
 
@@ -559,13 +569,6 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
     launch_lo, launch_hi = launch if launch is not None else (0.0, 0.0)
     outward = 1.0 if launch_hi == math.inf else -1.0
 
-    def _snap_to_tangency(y: float) -> float:
-        for yt in tangency_ys:
-            if abs(y - yt) <= _GRAZE_TOL * (1.0 + abs(yt)) and y != yt:
-                grazes.append(yt)
-                return yt
-        return y
-
     def _stop(event: TerminalEvent, lap: Optional[int] = None) -> Orbit:
         return Orbit(tuple(segments), event, tuple(axis_states), tuple(grazes), lap)
 
@@ -577,7 +580,7 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
             t_hit, z_hit = _first_axis_hit(f, z, side, from_axis=False)
         except NoReturn:
             return _stop(_no_return_terminal(f, side))
-        z_hit[1] = _snap_to_tangency(z_hit[1])
+        z_hit[1] = snap_to_tangency(z_hit[1], tangency_ys, grazes)
         segments.append(FlowSegment(side, tuple(z), (0.0, float(z_hit[1])), t_hit))
         elapsed += t_hit
         z = z_hit
@@ -631,7 +634,7 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
                 t_hit, z_hit = first_return_to_axis(f, z, side)
             except NoReturn:
                 return _stop(_no_return_terminal(f, side))
-            z_hit[1] = _snap_to_tangency(z_hit[1])
+            z_hit[1] = snap_to_tangency(z_hit[1], tangency_ys, grazes)
             segments.append(FlowSegment(side, (0.0, y), (0.0, float(z_hit[1])), t_hit))
             elapsed += t_hit
             z = z_hit

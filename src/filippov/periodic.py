@@ -46,8 +46,9 @@ from .flow import (
     TerminalEvent,
     filippov_orbit,
     first_return_to_axis,
+    snap_to_tangency,
 )
-from .halfmaps import derivatives, make_context, solve_t_hats, zeros_of_D
+from .halfmaps import make_context, solve_t_hats, zeros_of_D
 from .roots import brentq
 
 __all__ = [
@@ -121,15 +122,9 @@ def _lap_orbit(orbit: Orbit, reverse: bool = False) -> Orbit:
     segs = _lap_segments(orbit)
     if reverse:
         segs = tuple(_reverse_segment(s) for s in reversed(segs))
-    period = sum(s.duration for s in segs)
-    if orbit.terminal_event.kind == "Closed":
-        point = orbit.terminal_event.point
-    else:
-        first = segs[0]
-        point = (0.0, first.y_start) if first.kind == "slide" else first.start
     return Orbit(
         segments=tuple(segs),
-        terminal_event=TerminalEvent("Closed", point=point, period=period),
+        terminal_event=TerminalEvent("Closed", period=sum(s.duration for s in segs)),
         axis_states=(),
         grazed_tangencies=orbit.grazed_tangencies,
         lap_start=0,
@@ -226,69 +221,53 @@ def find_sliding_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodic
 # Crossing orbits
 
 
-def _manual_crossing_orbit(sys: FilippovSystem, y: float) -> Orbit:
-    """Assemble the two-arc cycle through (0, y) directly from half returns.
+def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRecord]:
+    """The two-arc crossing lap from (0, y), or None when it does not close.
 
-    Fallback for zeros where the event-driven builder terminates early, e.g.
-    when the cycle grazes a tangency and the flow classifies the touch as a
-    sliding entry.
+    The lap leaves into the side both fields point to at y: right on the
+    launch set, left from the landing height that a time-reversing reduction
+    hands back.  Each landing snaps onto a tangency it grazes.  The
+    multiplier is the Liouville product over the two arcs,
+    P' = prod |f_x(z0) / f_x(z1)| e^(tr(A) t): an arc leaving its own zone's
+    tangency contributes 0, one landing on it makes the slope infinite.
     """
-    z0 = np.array([0.0, float(y)])
-    t_r, z1 = first_return_to_axis(sys.right, z0, "right")
-    t_l, z2 = first_return_to_axis(sys.left, z1, "left")
-    segs = (
-        FlowSegment(side="right", start=(0.0, float(z0[1])), end=(0.0, float(z1[1])), duration=t_r),
-        FlowSegment(side="left", start=(0.0, float(z1[1])), end=(0.0, float(z2[1])), duration=t_l),
-    )
-    return Orbit(
-        segments=segs,
-        terminal_event=TerminalEvent(
-            "Closed", point=(0.0, float(y)), period=t_r + t_l
-        ),
+    tangencies = tangency_points(sys)
+    first = "right" if sys.vx_right(y) + sys.vx_left(y) > 0.0 else "left"
+    segs: list[FlowSegment] = []
+    grazes: list[float] = []
+    ratio, exponent = 1.0, 0.0
+    y0 = float(y)
+    for side in (first, "left" if first == "right" else "right"):
+        f = sys.field(side)
+        t, z1 = first_return_to_axis(f, (0.0, y0), side)
+        y1 = snap_to_tangency(float(z1[1]), [tp.y for tp in tangencies], grazes)
+        own = [tp.y for tp in tangencies if tp.side == side]
+        v0 = 0.0 if y0 in own else abs(f.axis_vx(y0))
+        v1 = 0.0 if y1 in own else abs(f.axis_vx(y1))
+        if v0 == 0.0 or ratio == 0.0:
+            ratio = 0.0
+        elif v1 == 0.0:
+            ratio = math.inf
+        else:
+            ratio *= v0 / v1
+        exponent += f.trace * t
+        segs.append(FlowSegment(side=side, start=(0.0, y0), end=(0.0, y1), duration=t))
+        y0 = y1
+    if abs(y0 - y) > _CLOSURE_TOL * max(1.0, abs(y)):
+        return None
+    orbit = Orbit(
+        segments=tuple(segs),
+        terminal_event=TerminalEvent("Closed", period=segs[0].duration + segs[1].duration),
         axis_states=(),
-        grazed_tangencies=(),
+        grazed_tangencies=tuple(grazes),
         lap_start=0,
     )
-
-
-def _crossing_orbit_record(
-    sys: FilippovSystem, y: float, multiplier: float, budget: int
-) -> PeriodicOrbitRecord:
-    try:
-        orbit = filippov_orbit(sys, (0.0, float(y)), budget=budget)
-    except OverflowError:
-        orbit = None
-    if (
-        orbit is not None
-        and orbit.terminal_event.kind == "Closed"
-        and not any(s.kind == "slide" for s in _lap_segments(orbit))
-    ):
-        clean = _lap_orbit(orbit)
-    else:
-        clean = _manual_crossing_orbit(sys, y)
     return PeriodicOrbitRecord(
         kind="crossing",
-        orbit=clean,
-        axis_signature=_axis_signature(clean),
-        multiplier=multiplier,
+        orbit=orbit,
+        axis_signature=_axis_signature(orbit),
+        multiplier=ratio * math.exp(exponent) if 0.0 < ratio < math.inf else ratio,
     )
-
-
-def _route_a_crossings(sys: FilippovSystem, budget: int) -> list[PeriodicOrbitRecord]:
-    params, record = to_canonical(sys)
-    ctx = make_context(params)
-    out: list[PeriodicOrbitRecord] = []
-    for z in zeros_of_D(ctx):
-        der = derivatives(z.y_zero, ctx)
-        # dPLinv can be -inf at the parametric endpoint; IEEE division then
-        # gives a clean 0.0, the superstable one-sided multiplier
-        mult = der.dPR / der.dPLinv
-        if record.time_reversed:
-            mult = math.inf if mult == 0.0 else 1.0 / mult
-        y_sys = record.pullback_axis(z.y_zero)
-        out.append(_crossing_orbit_record(sys, y_sys, mult, budget))
-    out.sort(key=lambda r: r.orbit.segments[0].start[1])
-    return out
 
 
 def _scan_grid(lo: float, hi: float) -> list[float]:
@@ -299,8 +278,8 @@ def _scan_grid(lo: float, hi: float) -> list[float]:
     return [hi - 10.0 ** (j / 8.0) for j in range(56, -65, -1)] + [hi]
 
 
-def _crossings_by_scan(sys: FilippovSystem, budget: int) -> list[PeriodicOrbitRecord]:
-    """Shoot right half-returns and left half-returns over the crossing set.
+def _scan_heights(sys: FilippovSystem) -> list[float]:
+    """Roots of the lap displacement G found by shooting over the launch set.
 
     Used whenever the closed-form route is unavailable (no admissible focus,
     delta != 1, sign conditions fail after the shear).  The launch set is
@@ -338,50 +317,30 @@ def _crossings_by_scan(sys: FilippovSystem, budget: int) -> list[PeriodicOrbitRe
             roots.append(r)
 
     for (y0, g0), (y1, g1) in zip(vals, vals[1:]):
-        if g0 is None or g1 is None:
-            continue
-        if g0 == 0.0:
-            push(y0)
-        elif g0 * g1 < 0.0:
+        if g0 is not None and g1 is not None and g0 * g1 < 0.0:
             # brentq also converges onto a jump of G (at the edge of the
-            # launch domain), so keep only roots where the cycle closes
+            # launch domain); the record builder drops laps that do not close
             try:
-                r = brentq(G, y0, y1, xtol=1e-12, rtol=8.9e-16)
-                if abs(G(r)) <= _CLOSURE_TOL * max(1.0, abs(r)):
-                    push(r)
+                push(brentq(G, y0, y1, xtol=1e-12, rtol=8.9e-16))
             except skip:
                 pass
     for y, g in vals:
         if g is not None and abs(g) < 1e-11 * (1.0 + abs(y)):
             push(y)
-
-    out = []
-    for r in sorted(roots):
-        h = 1e-6 * (1.0 + abs(r))
-        slope = None
-        for a, b in ((r + h, r - h), (r + h, r), (r, r - h)):
-            try:
-                slope = (G(a) - G(b)) / (a - b)
-            except skip:
-                continue
-            break
-        if slope is None:
-            # the root sits on the edge of the launch domain where G itself
-            # stops being evaluable; not a robust cycle, drop it
-            continue
-        out.append(_crossing_orbit_record(sys, r, slope + 1.0, budget))
-    return out
+    return roots
 
 
-def find_crossing_orbits(sys: FilippovSystem, budget: int = 200) -> list[PeriodicOrbitRecord]:
+def find_crossing_orbits(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
     """All crossing periodic orbits, with multipliers.
 
-    Prefers the closed-form displacement route through the canonical
-    reduction; systems outside its hypotheses fall back to a shooting scan
-    of the composite half-return map.
+    Candidate heights are the zeros of the closed-form displacement D,
+    pulled back through the canonical reduction; systems outside its
+    hypotheses fall back to a shooting scan of the composite half-return
+    map.  One lap builder turns each height into a record.
     """
     try:
-        return _route_a_crossings(sys, budget)
+        params, record = to_canonical(sys)
+        heights = [record.pullback_axis(z.y_zero) for z in zeros_of_D(make_context(params))]
     except (
         NoAdmissibleFocus,
         DegenerateField,
@@ -394,7 +353,9 @@ def find_crossing_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodi
         # exceed float range for extreme spiral ratios, and PoleUnresolved
         # marks heights no float arc time reaches; the shooting scan handles
         # those systems with per-probe guards instead
-        return _crossings_by_scan(sys, budget)
+        heights = _scan_heights(sys)
+    records = [r for r in (_crossing_record(sys, y) for y in heights) if r is not None]
+    return sorted(records, key=lambda r: r.orbit.segments[0].start[1])
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +540,7 @@ def coexistence(sys: FilippovSystem, budget: int = 200) -> CoexistenceReport:
     appended without entering the counts.
     """
     sliding = find_sliding_orbits(sys, budget=budget)
-    crossing = find_crossing_orbits(sys, budget=budget)
+    crossing = find_crossing_orbits(sys)
     if sliding:
         label = classify_configuration(sliding, sys)
         _check_exclusions(label, crossing)

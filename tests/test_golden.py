@@ -4,6 +4,13 @@ Each file under data/reports/ is the report JSON of one bundled spec.  The
 test rebuilds every report in-process and compares it with the golden copy:
 structure, strings, ints, bools and nulls exactly, floats to 1e-12 relative
 with a 1e-15 absolute floor.
+
+Regenerate every file, from the repository root, with
+
+    for f in tests/data/reports/*.json; do PYTHONPATH=src python -m filippov.cli periodic "$(basename "$f" .json)" > "$f"; done
+
+Each regeneration is a deliberate report change: its CHANGES.md entry names
+every field that moved, with its largest relative move.
 """
 
 from __future__ import annotations
