@@ -106,7 +106,16 @@ def _entry_side(work, x0: float, y0: float) -> str:
     return "right" if vx > 0.0 else "left"
 
 
+def _require_finite(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise SpecFileError(f"{flag} wants a finite number, got {value!r}")
+
+
 def cmd_orbit(args) -> int:
+    _require_finite(args, "x0", "y0")
     spec = resolve_spec(args.spec)
     fsys = spec.normalized()
     work = fsys.time_reversed() if args.backward else fsys
@@ -142,6 +151,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_dfunc(args) -> int:
+    _require_finite(args, "y_min", "y_max")
     spec = resolve_spec(args.spec)
     params, rec = to_canonical(spec.normalized())
     ctx = make_context(params)
@@ -241,7 +251,7 @@ def cmd_sweep(args) -> int:
         n_cross: object = ""
         n_slide: object = ""
         try:
-            rep = coexistence(mutated.normalized(), budget=args.budget)
+            rep = coexistence(mutated.normalized())
         except (FilippovError, OverflowError) as exc:
             err = type(exc).__name__
         else:
@@ -303,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="a:b:n inclusive linear grid (write --range=a:b:n when a is negative)",
     )
-    p.add_argument("--budget", type=int, default=200)
 
     return parser
 

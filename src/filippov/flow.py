@@ -268,21 +268,23 @@ def _polish_root(ev: _Eigen, x0: float, y0: float, t: float) -> tuple[float, flo
 
 
 def _first_axis_hit(
-    field: AffineField, z0, side: str, from_axis: bool
+    field: AffineField, x0: float, y0: float, side: str
 ) -> tuple[float, np.ndarray]:
-    """Smallest t > 0 with x(t) = 0 while the orbit stays in the open side.
+    """Smallest t > 0 with x(t) = 0 for the orbit from (x0, y0) into `side`.
 
-    Raises NoReturn when the orbit provably never comes back (escape to
-    infinity or convergence toward an equilibrium inside the side).
+    One walk over the critical times of x(t), the pi/w ladder of a complex
+    spectrum or the one turn of a real one, snaps onto a critical time on
+    the axis or brackets the first sign change; a real spectrum then
+    brackets its tail.  Raises NoReturn when the orbit provably never
+    comes back (escape to infinity or convergence toward an equilibrium).
     """
     ev = _eigen(field)
-    x0, y0 = float(z0[0]), float(z0[1])
     scale = ev.scale
 
     def xf(t: float) -> float:
         return ev.at(x0, y0, t)[0]
 
-    s0 = (1.0 if side == "right" else -1.0) if from_axis else math.copysign(1.0, x0)
+    s0 = 1.0 if side == "right" else -1.0
     vx0 = ev.a11 * x0 + ev.a12 * y0 + ev.b1
     t_eps = 1e-12
 
@@ -296,14 +298,8 @@ def _first_axis_hit(
     def _root(lo: float, hi: float) -> tuple[float, np.ndarray]:
         return _finish(brentq(xf, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
-    def _first_piece_root(t_hi: float) -> tuple[float, np.ndarray]:
-        # sign change on (0, t_hi) where x leaves 0 with sign s0
-        lo = t_eps
-        while xf(lo) * s0 <= 0.0 and lo > 1e-300:
-            lo /= 8.0
-        return _root(lo, t_hi)
-
-    if ev.kind == "complex":
+    complex_spectrum = ev.kind == "complex"
+    if complex_spectrum:
         w = ev.omega
         a = ev.a
         x_eq = ev.x_eq
@@ -314,81 +310,75 @@ def _first_axis_hit(
             raise DomainError("start point is the equilibrium; the orbit does not move")
         # x(t) - x_eq = C e^{at} cos(w t - phase); critical times step by pi/w
         phase = math.atan2(a * Q - w * P, a * P + w * Q)
-        half = math.pi / w
-        t1 = (phase + math.pi / 2.0) / w
-        while t1 <= t_eps:
-            t1 += half
+        step = math.pi / w
+        t_k = (phase + math.pi / 2.0) / w
+        while t_k <= t_eps:
+            t_k += step
         if a < -1e-13 * scale and abs(x_eq) > 0.0:
-            t_limit = max(0.0, math.log(abs(x_eq) / C) / a) + 4.0 * half
+            t_last = max(0.0, math.log(abs(x_eq) / C) / a) + 4.0 * step
         else:
-            t_limit = 130.0 * half
-        prev_t = 0.0
-        prev_s = s0
-        t_k = t1
-        while prev_t < t_limit:
-            x_k = xf(t_k)
-            if abs(x_k) <= _SNAP_TOL * scale * max(1.0, C):
-                return _finish(t_k)
-            s_k = math.copysign(1.0, x_k)
-            if s_k != prev_s:
-                if prev_t > 0.0:
-                    return _root(prev_t, t_k)
-                return _first_piece_root(t_k)
-            prev_t, prev_s = t_k, s_k
-            t_k += half
+            t_last = 130.0 * step
+        snap = _SNAP_TOL * scale * max(1.0, C)
+    else:
+        # the x-velocity solves the homogeneous system: at most one turn
+        t_c = _real_critical_time(ev, vx0, ev.a21 * x0 + ev.a22 * y0 + ev.b2, t_eps)
+        t_k = t_last = 0.0 if t_c is None else t_c
+        step = 0.0
+        snap = _SNAP_TOL * scale
+    prev_t = 0.0
+    while prev_t < t_last:
+        x_k = xf(t_k)
+        if abs(x_k) <= snap:
+            return _finish(t_k)
+        if math.copysign(1.0, x_k) != s0:
+            lo = prev_t
+            if lo == 0.0:
+                # first piece: x leaves 0 with sign s0 at a shrinking lower end
+                lo = t_eps
+                while xf(lo) * s0 <= 0.0 and lo > 1e-300:
+                    lo /= 8.0
+            return _root(lo, t_k)
+        prev_t = t_k
+        t_k += step
+    if complex_spectrum:
         raise NoReturn(
             "orbit spirals toward the equilibrium on this side and never reaches the axis"
         )
-
-    # Real spectrum: at most one critical point, at most two monotone pieces.
-    terms = _x_series_real(ev, x0, y0)
-    t_c = _real_critical_time(ev, vx0, ev.a21 * x0 + ev.a22 * y0 + ev.b2, t_eps)
-    tail = _tail_sign(terms)
-
-    def _bracket_and_solve(lo: float, s_lo: float) -> tuple[float, np.ndarray]:
-        width = max(1.0, lo)
-        for _ in range(80):
-            hi = lo + width
-            if xf(hi) * s_lo < 0.0:
-                return _root(max(lo, t_eps), hi)
-            width *= 2.0
-        raise NoReturn("no axis return found within the scan horizon")
-
-    if t_c is not None:
-        x_c = xf(t_c)
-        if abs(x_c) <= _SNAP_TOL * scale:
-            return _finish(t_c)
-        if math.copysign(1.0, x_c) != s0:
-            return _first_piece_root(t_c)
-        if tail == 0 or float(tail) == s0:
-            raise NoReturn("orbit stays on this side (monotone tail after the turn)")
-        return _bracket_and_solve(t_c, s0)
+    tail = _tail_sign(_x_series_real(ev, x0, y0))
     if tail == 0 or float(tail) == s0:
-        raise NoReturn("orbit is monotone in x and never recrosses the axis")
-    return _bracket_and_solve(max(t_eps, 1e-6), s0)
+        raise NoReturn("orbit is monotone in x past its turn and never recrosses the axis")
+    lo = prev_t if prev_t > 0.0 else 1e-6
+    width = max(1.0, lo)
+    for _ in range(80):
+        hi = lo + width
+        if xf(hi) * s0 < 0.0:
+            return _root(lo, hi)
+        width *= 2.0
+    raise NoReturn("no axis return found within the scan horizon")
 
 
 def first_return_to_axis(field: AffineField, z0, side: str) -> tuple[float, np.ndarray]:
     """First positive-time axis intersection of the one-zone orbit from z0.
 
-    z0 must lie on the axis and the orbit must depart into the stated side,
-    either transversally or through a visible tangency.
+    z0 must be a finite point of the axis and the orbit must depart into the
+    stated side, either transversally or through a visible tangency.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x0, y0 = float(z0[0]), float(z0[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise DomainError(f"start point ({x0}, {y0}) is not finite")
     if abs(x0) > 1e-9 * (1.0 + abs(y0)):
         raise DomainError("start point must lie on the switching line")
     ev = _eigen(field)
-    side_sign = 1.0 if side == "right" else -1.0
     vx0 = ev.a12 * y0 + ev.b1
     vy0 = ev.a22 * y0 + ev.b2
     if abs(vx0) > 1e-10 * (1.0 + math.hypot(vx0, vy0)):
-        if math.copysign(1.0, vx0) != side_sign:
+        if (vx0 > 0.0) != (side == "right"):
             raise DomainError("orbit departs into the opposite side")
-    elif ev.a12 * vy0 * side_sign <= 0.0:
+    elif tangency_visibility(field, side, y0) != "visible":
         raise DomainError("tangency is not visible from the requested side")
-    return _first_axis_hit(field, (0.0, y0), side, from_axis=True)
+    return _first_axis_hit(field, 0.0, y0, side)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +416,6 @@ class TerminalEvent:
 class Orbit:
     segments: tuple
     terminal_event: TerminalEvent
-    axis_states: tuple[tuple[float, str], ...] = ()
     grazed_tangencies: tuple[float, ...] = ()
     lap_start: Optional[int] = None  # segment index where the closed lap begins
 
@@ -557,6 +546,8 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
     later lap moves further out and none can reach the sliding set.
     """
     z = np.asarray(z0, dtype=float).copy()
+    if not np.isfinite(z).all():
+        raise DomainError(f"start point ({z[0]}, {z[1]}) is not finite")
     segments: list = []
     axis_states: list[tuple[float, str]] = []
     grazes: list[float] = []
@@ -570,14 +561,14 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
     outward = 1.0 if launch_hi == math.inf else -1.0
 
     def _stop(event: TerminalEvent, lap: Optional[int] = None) -> Orbit:
-        return Orbit(tuple(segments), event, tuple(axis_states), tuple(grazes), lap)
+        return Orbit(tuple(segments), event, tuple(grazes), lap)
 
     # Interior start: ride the current zone to the axis first.
     if abs(z[0]) > 1e-9 * (1.0 + abs(z[1])):
         side = "right" if z[0] > 0.0 else "left"
         f = sys.field(side)
         try:
-            t_hit, z_hit = _first_axis_hit(f, z, side, from_axis=False)
+            t_hit, z_hit = _first_axis_hit(f, float(z[0]), float(z[1]), side)
         except NoReturn:
             return _stop(_no_return_terminal(f, side))
         z_hit[1] = snap_to_tangency(z_hit[1], tangency_ys, grazes)

@@ -65,7 +65,6 @@ __all__ = [
     "solve_eta_c",
 ]
 
-_SIG_TOL = 1e-7
 _GRAZE_TOL = 1e-9
 
 
@@ -102,66 +101,36 @@ class CoexistenceReport:
 # Orbit post-processing helpers
 
 
-def _lap_segments(orbit: Orbit) -> tuple:
-    start = orbit.lap_start if orbit.lap_start is not None else 0
-    return orbit.segments[start:]
-
-
-def _reverse_segment(seg):
-    if seg.kind == "slide":
-        return SlideSegment(
-            y_start=seg.y_end, y_end=seg.y_start, duration=seg.duration
-        )
-    return FlowSegment(
-        side=seg.side, start=seg.end, end=seg.start, duration=seg.duration
+def _reversed(segments) -> tuple:
+    """The same lap run backwards in time."""
+    return tuple(
+        SlideSegment(y_start=s.y_end, y_end=s.y_start, duration=s.duration)
+        if s.kind == "slide"
+        else FlowSegment(side=s.side, start=s.end, end=s.start, duration=s.duration)
+        for s in reversed(segments)
     )
 
 
-def _lap_orbit(orbit: Orbit, reverse: bool = False) -> Orbit:
-    """Strip transient segments, keeping one closed lap (forward in time)."""
-    segs = _lap_segments(orbit)
-    if reverse:
-        segs = tuple(_reverse_segment(s) for s in reversed(segs))
+def _closed_lap(segments, grazes) -> Orbit:
+    """One closed lap, forward in time, as a periodic orbit's record."""
+    segments = tuple(segments)
     return Orbit(
-        segments=tuple(segs),
-        terminal_event=TerminalEvent("Closed", period=sum(s.duration for s in segs)),
-        axis_states=(),
-        grazed_tangencies=orbit.grazed_tangencies,
+        segments=segments,
+        terminal_event=TerminalEvent("Closed", period=sum(s.duration for s in segments)),
+        grazed_tangencies=tuple(grazes),
         lap_start=0,
     )
 
 
-def _axis_signature(orbit: Orbit) -> tuple:
+def _axis_signature(segments) -> tuple:
     sig = []
-    for seg in _lap_segments(orbit):
+    for seg in segments:
         if seg.kind == "slide":
             sig.append(("S", float(seg.y_start), float(seg.y_end)))
         else:
             tag = "R" if seg.side == "right" else "L"
             sig.append((tag, float(seg.start[1]), float(seg.end[1])))
     return tuple(sig)
-
-
-def _signatures_match(a: tuple, b: tuple) -> bool:
-    if len(a) != len(b):
-        return False
-    n = len(a)
-    scale = 1.0 + max(
-        (abs(v) for item in a + b for v in item[1:]), default=0.0
-    )
-    for shift in range(n):
-        ok = True
-        for i in range(n):
-            p, q = a[i], b[(i + shift) % n]
-            if p[0] != q[0]:
-                ok = False
-                break
-            if abs(p[1] - q[1]) > _SIG_TOL * scale or abs(p[2] - q[2]) > _SIG_TOL * scale:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +147,9 @@ def find_sliding_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodic
     the stored orbit always runs forward in the original time.
     """
     found: list[PeriodicOrbitRecord] = []
-    seen: list[tuple] = []
+    # A slide ends on a tangency's own float and the flow from there is
+    # unique, so the exit heights and the time direction name the cycle.
+    seen: set[tuple] = set()
     runs = ((sys, False), (sys.time_reversed(), True))
     for work, reversed_time in runs:
         for tp in tangency_points(work):
@@ -192,21 +163,17 @@ def find_sliding_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodic
                 continue
             if orbit.terminal_event.kind != "Closed":
                 continue
-            lap = _lap_segments(orbit)
-            if not any(s.kind == "slide" for s in lap):
+            lap = orbit.segments[orbit.lap_start :]
+            key = (reversed_time, frozenset(s.y_end for s in lap if s.kind == "slide"))
+            if not key[1] or key in seen or not all(math.isfinite(s.duration) for s in lap):
                 continue
-            if not all(math.isfinite(s.duration) for s in lap):
-                continue
-            clean = _lap_orbit(orbit, reverse=reversed_time)
-            sig = _axis_signature(clean)
-            if any(_signatures_match(sig, s) for s in seen):
-                continue
-            seen.append(sig)
+            seen.add(key)
+            clean = _closed_lap(_reversed(lap) if reversed_time else lap, orbit.grazed_tangencies)
             found.append(
                 PeriodicOrbitRecord(
                     kind="sliding",
                     orbit=clean,
-                    axis_signature=sig,
+                    axis_signature=_axis_signature(clean.segments),
                     multiplier=None,
                 )
             )
@@ -255,27 +222,21 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
         y0 = y1
     if abs(y0 - y) > _CLOSURE_TOL * max(1.0, abs(y)):
         return None
-    orbit = Orbit(
-        segments=tuple(segs),
-        terminal_event=TerminalEvent("Closed", period=segs[0].duration + segs[1].duration),
-        axis_states=(),
-        grazed_tangencies=tuple(grazes),
-        lap_start=0,
-    )
     return PeriodicOrbitRecord(
         kind="crossing",
-        orbit=orbit,
-        axis_signature=_axis_signature(orbit),
+        orbit=_closed_lap(segs, grazes),
+        axis_signature=_axis_signature(segs),
         multiplier=ratio * math.exp(exponent) if 0.0 < ratio < math.inf else ratio,
     )
 
 
-def _scan_grid(lo: float, hi: float) -> list[float]:
-    """Scan heights on a launch half-line: its finite edge, then offsets
-    from it growing geometrically from 1e-8 to 1e7."""
+def _scan_grid(launch: tuple[float, float], edge: float) -> list[float]:
+    """Scan heights on the launch half-line: `edge`, then the offsets from
+    its finite end, growing geometrically from 1e-8 to 1e7, beyond `edge`."""
+    lo, hi = launch
     if hi == math.inf:
-        return [lo] + [lo + 10.0 ** (j / 8.0) for j in range(-64, 57)]
-    return [hi - 10.0 ** (j / 8.0) for j in range(56, -65, -1)] + [hi]
+        return [edge] + [y for y in (lo + 10.0 ** (j / 8.0) for j in range(-64, 57)) if y > edge]
+    return [y for y in (hi - 10.0 ** (j / 8.0) for j in range(56, -65, -1)) if y < edge] + [edge]
 
 
 def _scan_heights(sys: FilippovSystem) -> list[float]:
@@ -290,7 +251,18 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
     if launch is None:
         return []
 
+    up = launch[1] == math.inf
     lo, hi = landing
+    skip = (DomainError, NoReturn, OverflowError)
+    # The backward right arc from the landing set's finite end lands at y*.
+    # P_R is decreasing, so heights between the launch edge and y* land
+    # short of the landing set: G is defined only from y* outward.
+    edge = launch[0] if up else launch[1]
+    try:
+        _, z = first_return_to_axis(sys.right.negated(), (0.0, hi if up else lo), "right")
+        edge = max(edge, float(z[1])) if up else min(edge, float(z[1]))
+    except skip:
+        pass
 
     def G(y: float) -> float:
         _, z1 = first_return_to_axis(sys.right, (0.0, y), "right")
@@ -298,11 +270,14 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
         tol = 1e-11 * (1.0 + abs(u))
         if not (lo - tol <= u <= hi + tol):
             raise DomainError("right arc does not land in the leftward set")
-        _, z2 = first_return_to_axis(sys.left, (0.0, u), "left")
+        try:
+            _, z2 = first_return_to_axis(sys.left, (0.0, u), "left")
+        except DomainError:
+            # u is an invisible left tangency: the left arc folds onto it
+            return u - y
         return float(z2[1]) - y
 
-    skip = (DomainError, NoReturn, OverflowError)
-    ys = _scan_grid(*launch)
+    ys = _scan_grid(launch, edge)
     vals: list[tuple[float, Optional[float]]] = []
     for y in ys:
         try:
@@ -403,7 +378,7 @@ def _frame_with_exit(lap: Sequence, repulsive: bool) -> tuple[float, tuple[int, 
     """
     st = -1 if repulsive else 1
     if repulsive:
-        lap = [_reverse_segment(s) for s in reversed(lap)]
+        lap = _reversed(lap)
     n = len(lap)
     best = (-math.inf, (1, 1, st))
     for i in range(n):
@@ -414,10 +389,6 @@ def _frame_with_exit(lap: Sequence, repulsive: bool) -> tuple[float, tuple[int, 
             if s.y_end > best[0]:
                 best = (s.y_end, (sx, sy, st))
     return best
-
-
-def _single_frame(lap: Sequence, repulsive: bool) -> tuple[int, int, int]:
-    return _frame_with_exit(lap, repulsive)[1]
 
 
 def classify_configuration(
@@ -440,13 +411,13 @@ def classify_configuration(
         )
     sigma = sigma_decomposition(sys)
     tys = [tp.y for tp in tangency_points(sys)]
-    laps = [list(_lap_segments(r.orbit)) for r in sliding]
+    laps = [r.orbit.segments for r in sliding]
     shapes = [_shape_of(lap, tys) for lap in laps]
     reps = [_is_repulsive(lap, sigma) for lap in laps]
 
     if len(sliding) == 1:
         (slides, arcs, graze), rep = shapes[0], reps[0]
-        frame = _single_frame(laps[0], rep)
+        frame = _frame_with_exit(laps[0], rep)[1]
         if (slides, arcs) == (1, 1):
             return ConfigurationLabel("F1A_a", frame)
         if (slides, arcs) == (1, 2):
@@ -457,7 +428,7 @@ def classify_configuration(
 
     if reps[0] != reps[1]:
         k = reps.index(False)
-        frame = _single_frame(laps[k], False)
+        frame = _frame_with_exit(laps[k], False)[1]
         if all(sh[:2] == (1, 1) for sh in shapes):
             return ConfigurationLabel("F2A_a", frame)
         return ConfigurationLabel("Other", frame)
@@ -467,8 +438,8 @@ def classify_configuration(
         frame = max(_frame_with_exit(laps[i], reps[i]) for i in order)[1]
         return ConfigurationLabel("F2A_b", frame)
     if key == [(1, 1), (1, 2)]:
-        return ConfigurationLabel("F2A_c", _single_frame(laps[order[0]], reps[order[0]]))
-    return ConfigurationLabel("Other", _single_frame(laps[order[0]], reps[order[0]]))
+        return ConfigurationLabel("F2A_c", _frame_with_exit(laps[order[0]], reps[order[0]])[1])
+    return ConfigurationLabel("Other", _frame_with_exit(laps[order[0]], reps[order[0]])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +453,16 @@ def _standard_records(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
         info = equilibrium_info(sys.field(side), side)
         if info.kind == "center" and info.placement == "admissible":
             A = np.asarray(sys.field(side).A, dtype=float)
-            period = 2.0 * math.pi / math.sqrt(float(np.linalg.det(A)))
-            sgn = 1.0 if side == "right" else -1.0
+            omega = math.sqrt(float(np.linalg.det(A)))
+            period = 2.0 * math.pi / omega
             cx, cy = info.location
-            z0 = (cx + sgn * 0.25 * (1.0 + abs(cx)), cy)
+            # from (cx + d, cy) the orbit swings d * hypot(1, a11 / omega) in
+            # x about cx: half the center's distance keeps it off the line
+            z0 = (cx + 0.5 * cx / math.hypot(1.0, float(A[0, 0]) / omega), cy)
             seg = FlowSegment(side=side, start=z0, end=z0, duration=period)
             orbit = Orbit(
                 segments=(seg,),
                 terminal_event=TerminalEvent("Closed", point=z0, period=period),
-                axis_states=(),
-                grazed_tangencies=(),
                 lap_start=0,
             )
             out.append(

@@ -16,8 +16,10 @@ from filippov.core import (
     classify_point,
     crossing_sets,
     tangency_points,
+    tangency_visibility,
 )
 from filippov.errors import (
+    DegenerateTangency,
     DomainError,
     FilippovError,
     NoReturn,
@@ -185,6 +187,28 @@ def test_first_return_invisible_tangency_rejected():
     f = AffineField([[0.0, 1.0], [-1.0, 0.0]], [0.0, -1.0])
     with pytest.raises(DomainError):
         first_return_to_axis(f, (0.0, 0.0), "right")
+    # vy(0) = 1e-13: kappa > 0 but inside VANISH_TOL, so the contact is
+    # degenerate under the one visibility rule and no arc leaves it
+    f = AffineField([[0.0, 1.0], [-1.0, 0.0]], [0.0, 1e-13])
+    assert tangency_visibility(f, "right", 0.0) == "degenerate"
+    with pytest.raises(DomainError):
+        first_return_to_axis(f, (0.0, 0.0), "right")
+
+
+@pytest.mark.parametrize("y0", [-math.inf, math.inf, math.nan])
+def test_first_return_from_a_non_finite_start_raises_domain_error(y0):
+    # y0 = -inf used to raise a bare "math domain error" from math.log
+    f = AffineField([[-0.731, -0.481], [2.066, 0.254]], [-2.800, -0.675])
+    with pytest.raises(DomainError):
+        first_return_to_axis(f, (0.0, y0), "right")
+
+
+@pytest.mark.parametrize(
+    "z0", [(math.nan, 0.0), (math.inf, 1.0), (0.0, math.inf), (1.0, -math.inf)]
+)
+def test_orbit_from_a_non_finite_start_raises_domain_error(z0):
+    with pytest.raises(DomainError):
+        filippov_orbit(_helper_scenario_system(0.1, 1.0), z0)
 
 
 def test_first_return_from_near_double_root_keeps_positive_time():
@@ -449,7 +473,7 @@ def test_orbit_never_slides_on_repulsive_points_from_interior_start():
             continue
         try:
             orbit = filippov_orbit(sys, z0, budget=25)
-        except Exception:
+        except DegenerateTangency:
             continue  # degenerate tangency configurations are out of scope here
         launched += 1
         for seg in orbit.segments:

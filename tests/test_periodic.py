@@ -17,7 +17,7 @@ import pytest
 
 from filippov.acceptance import _random_addcond_params, _random_system
 from filippov.canonical import check_premises, to_canonical
-from filippov import flow
+from filippov import flow, periodic
 from filippov.core import AffineField, FilippovSystem, equilibrium_info
 from filippov.errors import (
     ConditionViolated,
@@ -28,11 +28,14 @@ from filippov.errors import (
     NoAdmissibleFocus,
     TheoremViolation,
 )
-from filippov.flow import filippov_orbit, first_return_to_axis
+from filippov.flow import filippov_orbit, first_return_to_axis, linear_flow
 from filippov.halfmaps import derivatives, make_context, zeros_of_D
 from filippov.periodic import (
     ConfigurationLabel,
     _check_exclusions,
+    _crossing_record,
+    _scan_heights,
+    _standard_records,
     classify_configuration,
     coexistence,
     find_crossing_orbits,
@@ -198,14 +201,17 @@ def test_point_reflected_example_keeps_tag_flips_frame():
 
 
 def test_time_reversal_swaps_stability_and_inverts_multiplier():
-    for n in (5, 6):
-        sys = _helper_example(n)
+    # crossing_sliding_eta takes the shooting scan, which lost the reversed
+    # image of one of its two cycles before it started at the lap map's edge
+    systems = [_helper_example(5), _helper_example(6)]
+    systems.append(resolve_spec("crossing_sliding_eta").normalized())
+    for sys in systems:
         fwd = coexistence(sys)
         bwd = coexistence(sys.time_reversed())
         assert (fwd.n_crossing, fwd.n_sliding) == (bwd.n_crossing, bwd.n_sliding)
         assert _helper_tags(fwd) == _helper_tags(bwd)
-        for mf, mb in zip(_helper_crossing_mults(fwd), _helper_crossing_mults(bwd)):
-            assert mb == pytest.approx(1.0 / mf, rel=1e-6)
+        want = sorted(1.0 / m for m in _helper_crossing_mults(fwd))
+        assert sorted(_helper_crossing_mults(bwd)) == pytest.approx(want, rel=1e-6)
     st_fwd = {r.configuration.frame[2] for r in coexistence(_helper_example(6)).records if r.configuration}
     st_bwd = {
         r.configuration.frame[2]
@@ -225,6 +231,29 @@ def test_standard_center_record_excluded_from_counts():
     rec = rep.records[0]
     assert rec.multiplier == 1.0
     assert rec.orbit.terminal_event.period == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "side, A, center",
+    [
+        ("right", [[0.0, 1.0], [-1.0, 0.0]], (0.1, 0.0)),
+        ("right", [[1.0, 2.0], [-1.0, -1.0]], (0.5, 0.3)),
+        ("left", [[0.0, -1.0], [1.0, 0.0]], (-1.0, 0.0)),
+    ],
+)
+def test_standard_center_record_stays_in_its_zone(side, A, center):
+    # the representative started 0.25 (1 + |cx|) from the center, so the
+    # orbit of a center at x = 0.1 dipped to x = -0.175, across the line
+    field = AffineField(A, -np.asarray(A) @ np.asarray(center))
+    other = AffineField(-np.eye(2), [1.0 if side == "left" else -1.0, 0.0])
+    sys = FilippovSystem(**{side: field, ("left" if side == "right" else "right"): other})
+    (rec,) = _standard_records(sys)
+    (seg,) = rec.orbit.segments
+    sign = 1.0 if side == "right" else -1.0
+    for k in range(257):
+        z = linear_flow(field, seg.start, seg.duration * k / 256.0)
+        assert sign * z[0] > 0.0
+    np.testing.assert_allclose(z, seg.start, atol=1e-12)
 
 
 def test_saddle_saddle_pair_has_no_periodic_orbits():
@@ -538,12 +567,70 @@ def test_crossing_laps_close_on_the_closed_form_route(closed_form_censuses):
         _helper_assert_crossings_close(sys, rep)
 
 
+def test_scan_finds_every_closed_form_crossing_cycle(closed_form_censuses):
+    # differential oracle for the shooting route: wherever the closed form
+    # applies, the scan proposes as many closing laps.  Shooting 121 fixed
+    # offsets from the launch edge never bracketed a cycle between the last
+    # undefined probe and the lap map's domain edge (7 cases missed one)
+    for label, sys, rep in closed_form_censuses:
+        try:
+            make_context(to_canonical(sys)[0])
+        except (ConditionViolated, DeltaNotOne, EtaZero, NoAdmissibleFocus):
+            continue
+        scan = [r for r in (_crossing_record(sys, y) for y in _scan_heights(sys)) if r]
+        assert len(scan) == rep.n_crossing, label
+
+
+@pytest.mark.parametrize(
+    "draw, multiplier",
+    [(3006, 940.37), (3358, 5.4722), (3487, 11.729), (3626, 91.294), (9034, 48.645)],
+)
+def test_scan_finds_the_cycle_next_to_the_lap_map_edge(draw, multiplier):
+    # check 1's draws at seed 20260823 whose one repelling crossing cycle
+    # sits between y* and the nearest fixed scan offset beyond it, where the
+    # scan found no bracket while it learnt G's domain probe by probe
+    sys = _helper_random_draw(20260823, draw)
+    fwd = coexistence(sys, budget=60)
+    bwd = coexistence(sys.time_reversed(), budget=60)
+    _helper_assert_crossings_close(sys, fwd)
+    assert _helper_crossing_mults(fwd) == [pytest.approx(multiplier, rel=1e-4)]
+    assert _helper_crossing_mults(bwd) == [pytest.approx(1.0 / multiplier, rel=1e-4)]
+
+
+def test_crossing_search_first_returns_stay_bounded(monkeypatch):
+    # deterministic work guard: axis returns spent by find_crossing_orbits on
+    # the first 300 check-1 draws at seed 20260823.  Shooting probes that land
+    # short of the landing set took 22,425; starting at y* takes 20,409
+    calls = 0
+    inner = periodic.first_return_to_axis
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(periodic, "first_return_to_axis", counted)
+    rng = np.random.default_rng(20260823)
+    for _ in range(300):
+        find_crossing_orbits(_random_system(rng))
+    assert 0 < calls <= 21_000
+
+
+def test_crossing_count_survives_time_reversal_at_the_lap_map_edge():
+    # draw 0 of _random_system at seed 7: in reversed time its cycle lies
+    # between y* and the nearest fixed scan offset beyond it, and was lost
+    sys = _helper_random_draw(7, 0)
+    fwd = coexistence(sys, budget=60)
+    bwd = coexistence(sys.time_reversed(), budget=60)
+    assert fwd.n_crossing == bwd.n_crossing == 1
+
+
 @pytest.mark.xfail(strict=True, reason="the crossing census is not yet invariant under time reversal")
-@pytest.mark.parametrize("draw", [0, 58, 190, 251, 391, 423, 496, 593])
+@pytest.mark.parametrize("draw", [58, 190, 251, 391, 423, 496, 593])
 def test_crossing_count_survives_time_reversal(draw):
     # draws of _random_system at seed 7 whose crossing count changes when
-    # time is reversed: the scan shoots right-then-left from the launch set
-    # in either direction of time
+    # time is reversed: their cycles sit at the far edge of the lap map's
+    # domain, just inside the heights whose arcs no longer return
     sys = _helper_random_draw(7, draw)
     fwd = coexistence(sys, budget=60)
     bwd = coexistence(sys.time_reversed(), budget=60)

@@ -220,6 +220,24 @@ def test_cli_orbit_backward_samples_spiral(capsys):
     assert abs(float(rows[-1][1]) - 0.99009900990099) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["orbit", "example1", "--x0", "nan", "--y0", "0"], "--x0"),
+        (["orbit", "example1", "--x0", "inf", "--y0", "1"], "--x0"),
+        (["orbit", "example1", "--x0", "0", "--y0", "inf"], "--y0"),
+        (["dfunc", "example6", "--y-min=-inf", "--y-max", "1", "--samples", "3"], "--y-min"),
+        (["dfunc", "example6", "--y-min", "0", "--y-max", "nan", "--samples", "3"], "--y-max"),
+    ],
+)
+def test_cli_non_finite_numbers_exit2(args, flag, capsys):
+    # nan ran an orbit from (0, 0), inf printed an empty CSV, both exiting 0
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} wants a finite number" in captured.err
+
+
 def test_cli_out_file_matches_stdout(tmp_path, capsys):
     args = ["dfunc", "example6", "--y-min", "0", "--y-max", "10", "--samples", "5"]
     assert main(args) == 0
