@@ -87,6 +87,11 @@ class AffineField:
         return float(self.A[0, 1] * y + self.b[0])
 
     def negated(self) -> "AffineField":
+        return self._negated
+
+    @cached_property
+    def _negated(self) -> "AffineField":
+        # one object per field, so the flow's cached eigenstructure is reused
         return AffineField(-self.A, -self.b)
 
     def equilibrium(self) -> np.ndarray:

@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 _GRAZE_TOL = 1e-9
+# an arc that does not return, or leaves float range before it does, is no
+# arc of a crossing cycle
+_NO_ARC = (DomainError, NoReturn, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -189,11 +192,12 @@ def find_sliding_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodic
 
 
 def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRecord]:
-    """The two-arc crossing lap from (0, y), or None when it does not close.
+    """The two-arc crossing lap from (0, y), or None when it does not
+    return or does not close.
 
     The lap leaves into the side both fields point to at y: right on the
-    launch set, left from the landing height that a time-reversing reduction
-    hands back.  Each landing snaps onto a tangency it grazes.  The
+    launch set, left on the landing set, where the scan's upper half-line
+    and a time-reversing reduction can put y.  Each landing snaps onto a tangency it grazes.  The
     multiplier is the Liouville product over the two arcs,
     P' = prod |f_x(z0) / f_x(z1)| e^(tr(A) t): an arc leaving its own zone's
     tangency contributes 0, one landing on it makes the slope infinite.
@@ -206,7 +210,10 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
     y0 = float(y)
     for side in (first, "left" if first == "right" else "right"):
         f = sys.field(side)
-        t, z1 = first_return_to_axis(f, (0.0, y0), side)
+        try:
+            t, z1 = first_return_to_axis(f, (0.0, y0), side)
+        except _NO_ARC:
+            return None
         y1 = snap_to_tangency(float(z1[1]), [tp.y for tp in tangencies], grazes)
         own = [tp.y for tp in tangencies if tp.side == side]
         v0 = 0.0 if y0 in own else abs(f.axis_vx(y0))
@@ -230,79 +237,86 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
     )
 
 
-def _scan_grid(launch: tuple[float, float], edge: float) -> list[float]:
-    """Scan heights on the launch half-line: `edge`, then the offsets from
-    its finite end, growing geometrically from 1e-8 to 1e7, beyond `edge`."""
-    lo, hi = launch
-    if hi == math.inf:
-        return [edge] + [y for y in (lo + 10.0 ** (j / 8.0) for j in range(-64, 57)) if y > edge]
-    return [y for y in (hi - 10.0 ** (j / 8.0) for j in range(56, -65, -1)) if y < edge] + [edge]
+def _arc(sys: FilippovSystem, side: str, y: float) -> float:
+    """Landing height of the arc from (0, y) into `side`: forward in time
+    where both fields point into that side, backward where both point out."""
+    f = sys.field(side)
+    if (sys.vx_right(y) + sys.vx_left(y) > 0.0) != (side == "right"):
+        f = f.negated()
+    return float(first_return_to_axis(f, (0.0, y), side)[1][1])
 
 
 def _scan_heights(sys: FilippovSystem) -> list[float]:
-    """Roots of the lap displacement G found by shooting over the launch set.
+    """Heights of the zeros of D(y) = u_L(y) - u_R(y) on the upper crossing
+    half-line, where u_s is the landing of `_arc` into side s.
 
     Used whenever the closed-form route is unavailable (no admissible focus,
-    delta != 1, sign conditions fail after the shear).  The launch set is
-    where both fields point rightward; the landing of the right arc must sit
-    where both point leftward or the composite return is undefined.
+    delta != 1, sign conditions fail after the shear).  Mirroring or
+    reversing time leaves the half-line and both arcs as they are.  D's
+    domain is cut at the half-line's end, at each arc's preimage of the
+    lower crossing set's end and at the axis heights of real eigenvector
+    lines through an equilibrium; a midpoint probe decides each piece, a
+    geometric grid from both ends scans it.  The cuts are proposed too: a
+    cycle can graze a tangency or sit closer to an invariant line than
+    floats resolve.
     """
     launch, landing = crossing_sets(sys)
     if launch is None:
         return []
-
-    up = launch[1] == math.inf
-    lo, hi = landing
-    skip = (DomainError, NoReturn, OverflowError)
-    # The backward right arc from the landing set's finite end lands at y*.
-    # P_R is decreasing, so heights between the launch edge and y* land
-    # short of the landing set: G is defined only from y* outward.
-    edge = launch[0] if up else launch[1]
-    try:
-        _, z = first_return_to_axis(sys.right.negated(), (0.0, hi if up else lo), "right")
-        edge = max(edge, float(z[1])) if up else min(edge, float(z[1]))
-    except skip:
-        pass
-
-    def G(y: float) -> float:
-        _, z1 = first_return_to_axis(sys.right, (0.0, y), "right")
-        u = float(z1[1])
-        tol = 1e-11 * (1.0 + abs(u))
-        if not (lo - tol <= u <= hi + tol):
-            raise DomainError("right arc does not land in the leftward set")
+    edge, lo = (launch[0], landing[1]) if launch[1] == math.inf else (landing[0], launch[1])
+    cuts = {edge}
+    for side in ("right", "left"):
         try:
-            _, z2 = first_return_to_axis(sys.left, (0.0, u), "left")
-        except DomainError:
-            # u is an invisible left tangency: the left arc folds onto it
-            return u - y
-        return float(z2[1]) - y
+            cuts.add(_arc(sys, side, lo))
+        except _NO_ARC:
+            pass
+        f = sys.field(side)
+        if f.discriminant >= 0.0:
+            (_, a12), (_, a22) = f.A.tolist()
+            b1, b2 = f.b.tolist()
+            root = math.sqrt(f.discriminant)
+            # the invariant line along one eigenvector is w.z + w.b / lam = 0
+            # for the left eigenvector w = (lam - a22, a12) of the other root
+            for lam in {(f.trace + root) / 2.0, (f.trace - root) / 2.0} - {0.0}:
+                cuts.add(-((lam - a22) * b1 + a12 * b2) / (lam * a12))
+    cuts = sorted(c for c in cuts if edge <= c < math.inf)
 
-    ys = _scan_grid(launch, edge)
-    vals: list[tuple[float, Optional[float]]] = []
-    for y in ys:
+    def D(y: float) -> float:
+        return _arc(sys, "left", y) - _arc(sys, "right", y)
+
+    heights = list(cuts)
+    for a, b in zip(cuts, cuts[1:] + [math.inf]):
+        if b == math.inf:
+            mid = a + max(1.0, abs(a))
+            grid = [a + (mid - a) * 10.0 ** (k / 2.0) for k in range(-16, 15)]
+        else:
+            mid = 0.5 * (a + b)
+            offsets = [(b - a) * 10.0 ** (-k / 2.0) for k in range(16, 0, -1)]
+            grid = [a + o for o in offsets] + [mid] + [b - o for o in reversed(offsets)]
         try:
-            vals.append((y, G(y)))
-        except skip:
-            vals.append((y, None))
-
-    roots: list[float] = []
-
-    def push(r: float) -> None:
-        if all(abs(r - s) > 1e-9 * (1.0 + abs(s)) for s in roots):
-            roots.append(r)
-
-    for (y0, g0), (y1, g1) in zip(vals, vals[1:]):
-        if g0 is not None and g1 is not None and g0 * g1 < 0.0:
-            # brentq also converges onto a jump of G (at the edge of the
-            # launch domain); the record builder drops laps that do not close
+            # an arc's landing crosses the lower set's end only at a cut, so
+            # the midpoint tells whether both land in that set on the piece
+            if max(_arc(sys, "right", mid), _arc(sys, "left", mid)) > lo:
+                continue
+        except _NO_ARC:
+            continue
+        vals = []
+        for y in grid:
             try:
-                push(brentq(G, y0, y1, xtol=1e-12, rtol=8.9e-16))
-            except skip:
+                vals.append((y, D(y)))
+            except _NO_ARC:
                 pass
-    for y, g in vals:
-        if g is not None and abs(g) < 1e-11 * (1.0 + abs(y)):
-            push(y)
-    return roots
+        for (y0, d0), (y1, d1) in zip(vals, vals[1:]):
+            if min(d0, d1) <= 0.0 <= max(d0, d1):
+                try:
+                    heights.append(brentq(D, y0, y1, xtol=1e-12, rtol=8.9e-16))
+                except _NO_ARC:
+                    pass
+    out: list[float] = []  # heights closer than the closure tolerance name one lap
+    for y in sorted(heights):
+        if not out or y - out[-1] > _CLOSURE_TOL * max(1.0, abs(y)):
+            out.append(y)
+    return out
 
 
 def find_crossing_orbits(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
@@ -310,8 +324,8 @@ def find_crossing_orbits(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
 
     Candidate heights are the zeros of the closed-form displacement D,
     pulled back through the canonical reduction; systems outside its
-    hypotheses fall back to a shooting scan of the composite half-return
-    map.  One lap builder turns each height into a record.
+    hypotheses fall back to a scan of the same D built from the two fields'
+    arcs.  One lap builder turns each height into a record.
     """
     try:
         params, record = to_canonical(sys)
@@ -326,8 +340,8 @@ def find_crossing_orbits(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
     ):
         # OverflowError: the closed forms carry e^(gamma3 t) factors that can
         # exceed float range for extreme spiral ratios, and PoleUnresolved
-        # marks heights no float arc time reaches; the shooting scan handles
-        # those systems with per-probe guards instead
+        # marks heights no float arc time reaches; the scan handles those
+        # systems with per-probe guards instead
         heights = _scan_heights(sys)
     records = [r for r in (_crossing_record(sys, y) for y in heights) if r is not None]
     return sorted(records, key=lambda r: r.orbit.segments[0].start[1])

@@ -18,7 +18,13 @@ import pytest
 from filippov.acceptance import _random_addcond_params, _random_system
 from filippov.canonical import check_premises, to_canonical
 from filippov import flow, periodic
-from filippov.core import AffineField, FilippovSystem, equilibrium_info
+from filippov.core import (
+    AffineField,
+    FilippovSystem,
+    RawSystem,
+    equilibrium_info,
+    normalize_to_y_axis,
+)
 from filippov.errors import (
     ConditionViolated,
     DegenerateField,
@@ -201,8 +207,8 @@ def test_point_reflected_example_keeps_tag_flips_frame():
 
 
 def test_time_reversal_swaps_stability_and_inverts_multiplier():
-    # crossing_sliding_eta takes the shooting scan, which lost the reversed
-    # image of one of its two cycles before it started at the lap map's edge
+    # crossing_sliding_eta takes the scan route; shooting the lap map from
+    # the launch set once lost the reversed image of one of its two cycles
     systems = [_helper_example(5), _helper_example(6)]
     systems.append(resolve_spec("crossing_sliding_eta").normalized())
     for sys in systems:
@@ -568,7 +574,7 @@ def test_crossing_laps_close_on_the_closed_form_route(closed_form_censuses):
 
 
 def test_scan_finds_every_closed_form_crossing_cycle(closed_form_censuses):
-    # differential oracle for the shooting route: wherever the closed form
+    # differential oracle for the scan route: wherever the closed form
     # applies, the scan proposes as many closing laps.  Shooting 121 fixed
     # offsets from the launch edge never bracketed a cycle between the last
     # undefined probe and the lap map's domain edge (7 cases missed one)
@@ -587,8 +593,8 @@ def test_scan_finds_every_closed_form_crossing_cycle(closed_form_censuses):
 )
 def test_scan_finds_the_cycle_next_to_the_lap_map_edge(draw, multiplier):
     # check 1's draws at seed 20260823 whose one repelling crossing cycle
-    # sits between y* and the nearest fixed scan offset beyond it, where the
-    # scan found no bracket while it learnt G's domain probe by probe
+    # sits next to the edge of the lap map's domain, where shooting the map
+    # found no bracket while it learnt that domain probe by probe
     sys = _helper_random_draw(20260823, draw)
     fwd = coexistence(sys, budget=60)
     bwd = coexistence(sys.time_reversed(), budget=60)
@@ -599,8 +605,9 @@ def test_scan_finds_the_cycle_next_to_the_lap_map_edge(draw, multiplier):
 
 def test_crossing_search_first_returns_stay_bounded(monkeypatch):
     # deterministic work guard: axis returns spent by find_crossing_orbits on
-    # the first 300 check-1 draws at seed 20260823.  Shooting probes that land
-    # short of the landing set took 22,425; starting at y* takes 20,409
+    # the first 300 check-1 draws at seed 20260823.  Shooting the lap map
+    # from its lower domain edge took 20,409; scanning D over its closed-form
+    # domain pieces takes about 2,800
     calls = 0
     inner = periodic.first_return_to_axis
 
@@ -613,25 +620,98 @@ def test_crossing_search_first_returns_stay_bounded(monkeypatch):
     rng = np.random.default_rng(20260823)
     for _ in range(300):
         find_crossing_orbits(_random_system(rng))
-    assert 0 < calls <= 21_000
+    assert 0 < calls <= 8_000
 
 
-def test_crossing_count_survives_time_reversal_at_the_lap_map_edge():
-    # draw 0 of _random_system at seed 7: in reversed time its cycle lies
-    # between y* and the nearest fixed scan offset beyond it, and was lost
-    sys = _helper_random_draw(7, 0)
+@pytest.mark.parametrize("draw", [0, 58, 190, 251, 391, 423, 496, 593])
+def test_crossing_count_survives_time_reversal(draw):
+    # draws of _random_system at seed 7 whose crossing count changed when
+    # time was reversed: shooting the lap map found their cycles from one
+    # half-line only, where the map's domain was wide enough for its probes
+    sys = _helper_random_draw(7, draw)
     fwd = coexistence(sys, budget=60)
     bwd = coexistence(sys.time_reversed(), budget=60)
     assert fwd.n_crossing == bwd.n_crossing == 1
 
 
-@pytest.mark.xfail(strict=True, reason="the crossing census is not yet invariant under time reversal")
-@pytest.mark.parametrize("draw", [58, 190, 251, 391, 423, 496, 593])
-def test_crossing_count_survives_time_reversal(draw):
-    # draws of _random_system at seed 7 whose crossing count changes when
-    # time is reversed: their cycles sit at the far edge of the lap map's
-    # domain, just inside the heights whose arcs no longer return
-    sys = _helper_random_draw(7, draw)
-    fwd = coexistence(sys, budget=60)
-    bwd = coexistence(sys.time_reversed(), budget=60)
-    assert fwd.n_crossing == bwd.n_crossing
+def _helper_window(mults):
+    return sorted(m for m in mults if 1e-6 <= m <= 1e6)
+
+
+def _helper_frames(sys):
+    """(name, system, multiplier map) of four frames of one system."""
+    S = np.diag([1.0, 3.0])
+    conj = FilippovSystem(
+        left=AffineField(S @ sys.left.A @ np.linalg.inv(S), S @ sys.left.b),
+        right=AffineField(S @ sys.right.A @ np.linalg.inv(S), S @ sys.right.b),
+    )
+    c, s = math.cos(0.7), math.sin(0.7)
+    R = np.array([[c, -s], [s, c]])
+    raw = RawSystem(
+        plus=AffineField(R @ sys.right.A @ R.T, R @ sys.right.b),
+        minus=AffineField(R @ sys.left.A @ R.T, R @ sys.left.b),
+        c=R @ np.array([1.0, 0.0]),
+        d=0.0,
+    )
+    return [
+        ("time reversal", sys.time_reversed(), lambda m: 1.0 / m),
+        ("mirror", sys.mirrored(), lambda m: m),
+        ("conjugacy y -> 3y", conj, lambda m: m),
+        ("rotated line", normalize_to_y_axis(raw)[0], lambda m: m),
+    ]
+
+
+def test_crossing_multipliers_survive_change_of_frame():
+    # metamorphic oracle over the first 1,000 check-1 draws at seed 20260823:
+    # a crossing cycle's multiplier is a property of the system, so each
+    # frame reports the same ones (1/m in reversed time).  Outside [1e-6, 1e6]
+    # only the time direction in which the cycle attracts can retrace it
+    # forward to 1e-8, so the window leaves those out
+    rng = np.random.default_rng(20260823)
+    for draw in range(1000):
+        sys = _random_system(rng)
+        try:
+            want = [r.multiplier for r in find_crossing_orbits(sys)]
+        except (DegenerateField, DegenerateTangency):
+            continue
+        for name, other, image in _helper_frames(sys):
+            got = [image(r.multiplier) for r in find_crossing_orbits(other)]
+            assert _helper_window(got) == pytest.approx(_helper_window(want), rel=1e-6), (
+                draw,
+                name,
+            )
+
+
+_PINNED_MULTIPLIERS = {
+    # crossing multipliers that the lap-map shooter reported on the first
+    # 1,000 check-1 draws at seed 20260823, forward and in reversed time
+    False: {
+        40: [11.23627306], 215: [0.09339856605], 226: [0.4214752392, 6.756522294],
+        307: [5.408363033], 325: [0.001398935134], 398: [0.7746061602],
+        460: [15.63903283], 632: [0.2065961962], 676: [7.185791301],
+        844: [0.01747974846], 889: [0.007948583295], 918: [0.007008735503],
+        956: [0.04523519995],
+    },
+    True: {
+        40: [0.0889974812], 88: [0.08296786948], 155: [0.3309657692],
+        226: [0.1480051358, 2.372618619], 279: [4.749562206e-13], 307: [0.1848988306],
+        398: [1.290978631], 442: [0.001220694191], 460: [0.06394257311],
+        676: [0.1391635184], 844: [57.20906122], 932: [0.0008976349326],
+        956: [22.10667801], 996: [0.05981984199],
+    },
+}
+
+
+@pytest.mark.parametrize("reversed_time", [False, True])
+def test_crossing_search_loses_no_pinned_cycle(reversed_time):
+    rng = np.random.default_rng(20260823)
+    pinned = _PINNED_MULTIPLIERS[reversed_time]
+    for draw in range(max(pinned) + 1):
+        sys = _random_system(rng)
+        if draw not in pinned:
+            continue
+        if reversed_time:
+            sys = sys.time_reversed()
+        got = [r.multiplier for r in find_crossing_orbits(sys)]
+        for m in pinned[draw]:
+            assert any(abs(g - m) <= 1e-6 * m for g in got), (draw, m, got)
