@@ -272,11 +272,30 @@ def _first_axis_hit(
 ) -> tuple[float, np.ndarray]:
     """Smallest t > 0 with x(t) = 0 for the orbit from (x0, y0) into `side`.
 
+    Raises NoReturn when the orbit provably never comes back (escape to
+    infinity or convergence toward an equilibrium), DomainError when it
+    does not depart into `side`, and ReturnOverflow when the flow leaves
+    float range before it returns.
+    """
+    try:
+        return _walk_to_axis(field, x0, y0, side)
+    except ReturnOverflow:
+        raise
+    except OverflowError:
+        raise ReturnOverflow(
+            f"orbit from ({x0}, {y0}) leaves float range before it returns"
+        ) from None
+
+
+def _walk_to_axis(
+    field: AffineField, x0: float, y0: float, side: str
+) -> tuple[float, np.ndarray]:
+    """`_first_axis_hit`'s search.
+
     One walk over the critical times of x(t), the pi/w ladder of a complex
     spectrum or the one turn of a real one, snaps onto a critical time on
     the axis or brackets the first sign change; a real spectrum then
-    brackets its tail.  Raises NoReturn when the orbit provably never
-    comes back (escape to infinity or convergence toward an equilibrium).
+    brackets its tail.
     """
     ev = _eigen(field)
     scale = ev.scale
@@ -337,6 +356,8 @@ def _first_axis_hit(
                 lo = t_eps
                 while xf(lo) * s0 <= 0.0 and lo > 1e-300:
                     lo /= 8.0
+                if xf(lo) * s0 < 0.0:
+                    raise DomainError(f"orbit from ({x0}, {y0}) does not depart into {side}")
             return _root(lo, t_k)
         prev_t = t_k
         t_k += step

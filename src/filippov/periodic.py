@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .canonical import CanonicalParams, to_canonical
+from .canonical import CanonicalParams
 from .core import (
     AffineField,
     FilippovSystem,
@@ -27,17 +27,7 @@ from .core import (
     sigma_decomposition,
     tangency_points,
 )
-from .errors import (
-    ConditionViolated,
-    DegenerateField,
-    DeltaNotOne,
-    DomainError,
-    EtaZero,
-    NoAdmissibleFocus,
-    NoReturn,
-    TheoremViolation,
-    WindowNotFound,
-)
+from .errors import DomainError, NoReturn, TheoremViolation, WindowNotFound
 from .flow import (
     _CLOSURE_TOL,
     FlowSegment,
@@ -48,7 +38,7 @@ from .flow import (
     first_return_to_axis,
     snap_to_tangency,
 )
-from .halfmaps import make_context, solve_t_hats, zeros_of_D
+from .halfmaps import solve_t_hats
 from .roots import brentq
 
 __all__ = [
@@ -197,7 +187,7 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
 
     The lap leaves into the side both fields point to at y: right on the
     launch set, left on the landing set, where the scan's upper half-line
-    and a time-reversing reduction can put y.  Each landing snaps onto a tangency it grazes.  The
+    can put y.  Each landing snaps onto a tangency it grazes.  The
     multiplier is the Liouville product over the two arcs,
     P' = prod |f_x(z0) / f_x(z1)| e^(tr(A) t): an arc leaving its own zone's
     tangency contributes 0, one landing on it makes the slope infinite.
@@ -250,15 +240,14 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
     """Heights of the zeros of D(y) = u_L(y) - u_R(y) on the upper crossing
     half-line, where u_s is the landing of `_arc` into side s.
 
-    Used whenever the closed-form route is unavailable (no admissible focus,
-    delta != 1, sign conditions fail after the shear).  Mirroring or
-    reversing time leaves the half-line and both arcs as they are.  D's
-    domain is cut at the half-line's end, at each arc's preimage of the
-    lower crossing set's end and at the axis heights of real eigenvector
-    lines through an equilibrium; a midpoint probe decides each piece, a
-    geometric grid from both ends scans it.  The cuts are proposed too: a
-    cycle can graze a tangency or sit closer to an invariant line than
-    floats resolve.
+    Mirroring or reversing time leaves the half-line and both arcs as they
+    are.  D's domain is cut at the half-line's end, at each arc's preimage
+    of the lower crossing set's end and at the axis heights of real
+    eigenvector lines through an equilibrium; a midpoint probe decides each
+    piece, a geometric grid from both ends scans it, and Brent's method
+    polishes each bracketed zero to 1e-15: a lap multiplies the error of its
+    start height by the multiplier.  The cuts are proposed too: a cycle can
+    graze a tangency or sit closer to an invariant line than floats resolve.
     """
     launch, landing = crossing_sets(sys)
     if launch is None:
@@ -309,7 +298,7 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
         for (y0, d0), (y1, d1) in zip(vals, vals[1:]):
             if min(d0, d1) <= 0.0 <= max(d0, d1):
                 try:
-                    heights.append(brentq(D, y0, y1, xtol=1e-12, rtol=8.9e-16))
+                    heights.append(brentq(D, y0, y1, xtol=1e-15, rtol=8.9e-16))
                 except _NO_ARC:
                     pass
     out: list[float] = []  # heights closer than the closure tolerance name one lap
@@ -322,27 +311,10 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
 def find_crossing_orbits(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
     """All crossing periodic orbits, with multipliers.
 
-    Candidate heights are the zeros of the closed-form displacement D,
-    pulled back through the canonical reduction; systems outside its
-    hypotheses fall back to a scan of the same D built from the two fields'
-    arcs.  One lap builder turns each height into a record.
+    Candidate heights are the zeros of the displacement D scanned from the
+    two fields' exact arcs; one lap builder turns each height into a record.
     """
-    try:
-        params, record = to_canonical(sys)
-        heights = [record.pullback_axis(z.y_zero) for z in zeros_of_D(make_context(params))]
-    except (
-        NoAdmissibleFocus,
-        DegenerateField,
-        EtaZero,
-        ConditionViolated,
-        DeltaNotOne,
-        OverflowError,
-    ):
-        # OverflowError: the closed forms carry e^(gamma3 t) factors that can
-        # exceed float range for extreme spiral ratios, and PoleUnresolved
-        # marks heights no float arc time reaches; the scan handles those
-        # systems with per-probe guards instead
-        heights = _scan_heights(sys)
+    heights = _scan_heights(sys)
     records = [r for r in (_crossing_record(sys, y) for y in heights) if r is not None]
     return sorted(records, key=lambda r: r.orbit.segments[0].start[1])
 
@@ -612,7 +584,7 @@ def solve_eta_c(gamma1: float) -> float:
             break
         try:
             val = g(eta)
-        except (DomainError, NoReturn, OverflowError):
+        except _NO_ARC:
             prev = None
             continue
         if prev is not None and prev[1] * val < 0.0:

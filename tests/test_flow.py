@@ -259,6 +259,34 @@ def test_first_return_out_of_float_range_raises_overflow():
     assert isinstance(info.value, FilippovError) and isinstance(info.value, OverflowError)
 
 
+def _helper_check1_draw(draw):
+    """Check 1's system number `draw` (0-based) at seed 20260823."""
+    rng = np.random.default_rng(20260823)
+    for _ in range(draw):
+        _random_system(rng)
+    return _random_system(rng)
+
+
+def test_first_return_that_overflows_on_its_walk_raises_return_overflow():
+    # check 1's draw 5851 conjugated by y -> 3y: the left arc from one of its
+    # invariant lines' axis heights runs out of float range at t ~ 491 while
+    # the walk brackets its return, and math.exp raised a bare OverflowError
+    sys = _helper_check1_draw(5851)
+    S = np.diag([1.0, 3.0])
+    left = AffineField(S @ sys.left.A @ np.linalg.inv(S), S @ sys.left.b)
+    with pytest.raises(ReturnOverflow):
+        first_return_to_axis(left, (0.0, 6.085049162133376), "left")
+
+
+def test_first_return_just_past_an_invisible_tangency_raises_domain_error():
+    # check 1's draw 2565: 1.2e-10 above the left field's invisible tangency
+    # x leaves the axis into the right zone however small t gets; the first
+    # piece used to call brentq on ends of one sign (RootNotBracketed)
+    sys = _helper_check1_draw(2565)
+    with pytest.raises(DomainError, match="does not depart"):
+        first_return_to_axis(sys.left, (0.0, -0.06785373802921237), "left")
+
+
 def _helper_rotation_invariant(field, u):
     # quadratic form conserved by the rotational part of the flow
     a = field.trace / 2.0
