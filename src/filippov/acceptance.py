@@ -68,7 +68,7 @@ def check_sliding_count_sweep(seed: Optional[int] = None, n: int = 10_000):
     for _ in range(n):
         sys = _random_system(rng)
         try:
-            rep = coexistence(sys, budget=60)
+            rep = coexistence(sys)
         except (DegenerateTangency, DegenerateField):
             # the criterion quantifies over nondegenerate systems only
             skipped += 1

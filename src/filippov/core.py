@@ -206,19 +206,6 @@ class SigmaDecomposition:
     intervals: tuple[AxisInterval, ...]
     points: tuple[tuple[float, RegionLabel], ...]
 
-    def label_at(self, y: float) -> RegionLabel:
-        for py, lab in self.points:
-            if y == py:
-                return lab
-        for iv in self.intervals:
-            if iv.lo < y < iv.hi:
-                return iv.label
-        # y coincides with a breakpoint not listed (numerical edge); fall back
-        for iv in self.intervals:
-            if iv.lo <= y <= iv.hi:
-                return iv.label
-        raise AssertionError("axis decomposition failed to cover a point")
-
 
 # ---------------------------------------------------------------------------
 # Transform records

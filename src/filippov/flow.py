@@ -317,6 +317,7 @@ def _walk_to_axis(
     def _root(lo: float, hi: float) -> tuple[float, np.ndarray]:
         return _finish(brentq(xf, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
+    prev_t = 0.0
     complex_spectrum = ev.kind == "complex"
     if complex_spectrum:
         w = ev.omega
@@ -333,10 +334,14 @@ def _walk_to_axis(
         t_k = (phase + math.pi / 2.0) / w
         while t_k <= t_eps:
             t_k += step
-        if a < -1e-13 * scale and abs(x_eq) > 0.0:
-            t_last = max(0.0, math.log(abs(x_eq) / C) / a) + 4.0 * step
-        else:
-            t_last = 130.0 * step
+        # x changes sign only while the amplitude C e^{at} exceeds |x_eq|,
+        # which it passes once, at t_cross
+        t_cross = math.log(abs(x_eq) / C) / a if abs(a) > 1e-13 * scale and x_eq else 0.0
+        if a > 0.0 and t_cross > t_k + step:
+            # a growing spiral keeps the sign of x_eq up to t_cross
+            t_k += math.floor((t_cross - t_k) / step) * step
+            prev_t = t_k - step
+        t_last = max(t_k, t_cross) + 4.0 * step
         snap = _SNAP_TOL * scale * max(1.0, C)
     else:
         # the x-velocity solves the homogeneous system: at most one turn
@@ -344,7 +349,6 @@ def _walk_to_axis(
         t_k = t_last = 0.0 if t_c is None else t_c
         step = 0.0
         snap = _SNAP_TOL * scale
-    prev_t = 0.0
     while prev_t < t_last:
         x_k = xf(t_k)
         if abs(x_k) <= snap:

@@ -22,9 +22,9 @@ from .core import (
     AffineField,
     FilippovSystem,
     RegionLabel,
+    classify_point,
     crossing_sets,
     equilibrium_info,
-    sigma_decomposition,
     tangency_points,
 )
 from .errors import DomainError, NoReturn, TheoremViolation, WindowNotFound
@@ -130,18 +130,27 @@ def _axis_signature(segments) -> tuple:
 # Sliding orbits
 
 
-def find_sliding_orbits(sys: FilippovSystem, budget: int = 200) -> list[PeriodicOrbitRecord]:
+# A crossing lap, an arc from a crossing point p to the other half-line and
+# one back to p' != p on p's half-line, never returns to p: its arcs and the
+# axis from p to p' bound a region, the flow crosses that stretch of axis one
+# way only, and p is reached only from the other side.  So a sliding cycle
+# holds no crossing lap, and as half-return maps nest outward, at most two
+# arcs follow each slide exit.  Slides end at the at most two tangency
+# heights, each once per period.
+_LAP_SEGMENTS = 6  # 2 * (1 slide + 2 arcs)
+
+
+def find_sliding_orbits(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
     """All periodic orbits with at least one sliding segment.
 
-    Every such orbit must leave the line through a visible tangency, so
-    seeding the flow at each visible tangency of the forward and of the
-    time-reversed system reaches them all.  The time-reversed runs recover
-    orbits whose sliding piece is repulsive; their laps are flipped back so
-    the stored orbit always runs forward in the original time.
+    Each is one lap from a visible tangency of the forward or time-reversed
+    system back onto that tangency's own float, where slides end and grazing
+    landings snap.  Reversed laps are flipped back to run forward in time.
     """
     found: list[PeriodicOrbitRecord] = []
-    # A slide ends on a tangency's own float and the flow from there is
-    # unique, so the exit heights and the time direction name the cycle.
+    # the flow from a tangency is unique, so the exit heights and the time
+    # direction name the cycle; one met after a transient is found again
+    # from its own exit tangency
     seen: set[tuple] = set()
     runs = ((sys, False), (sys.time_reversed(), True))
     for work, reversed_time in runs:
@@ -149,14 +158,13 @@ def find_sliding_orbits(sys: FilippovSystem, budget: int = 200) -> list[Periodic
             if tp.visibility != "visible":
                 continue
             try:
-                orbit = filippov_orbit(work, tp.location, budget=budget)
+                orbit = filippov_orbit(work, tp.location, budget=_LAP_SEGMENTS)
             except OverflowError:
                 # the seeded arc leaves float range before returning; no
                 # periodic orbit passes through representable territory here
                 continue
-            if orbit.terminal_event.kind != "Closed":
-                continue
-            lap = orbit.segments[orbit.lap_start :]
+            ends = [s.y_end if s.kind == "slide" else s.end[1] for s in orbit.segments]
+            lap = orbit.segments[: ends.index(tp.y) + 1] if tp.y in ends else ()
             key = (reversed_time, frozenset(s.y_end for s in lap if s.kind == "slide"))
             if not key[1] or key in seen or not all(math.isfinite(s.duration) for s in lap):
                 continue
@@ -276,23 +284,24 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
     heights = list(cuts)
     for a, b in zip(cuts, cuts[1:] + [math.inf]):
         if b == math.inf:
-            mid = a + max(1.0, abs(a))
-            grid = [a + (mid - a) * 10.0 ** (k / 2.0) for k in range(-16, 15)]
+            end = a + max(1.0, abs(a))
+            grid = [a + (end - a) * 10.0 ** (k / 2.0) for k in range(-16, 15)]
         else:
-            mid = 0.5 * (a + b)
             offsets = [(b - a) * 10.0 ** (-k / 2.0) for k in range(16, 0, -1)]
-            grid = [a + o for o in offsets] + [mid] + [b - o for o in reversed(offsets)]
+            grid = [a + o for o in offsets] + [0.5 * (a + b)] + [b - o for o in reversed(offsets)]
+        mid = grid[16]
         try:
             # an arc's landing crosses the lower set's end only at a cut, so
-            # the midpoint tells whether both land in that set on the piece
-            if max(_arc(sys, "right", mid), _arc(sys, "left", mid)) > lo:
-                continue
+            # the middle point tells whether both land in that set on the piece
+            u_r, u_l = _arc(sys, "right", mid), _arc(sys, "left", mid)
         except _NO_ARC:
+            continue
+        if max(u_r, u_l) > lo:
             continue
         vals = []
         for y in grid:
             try:
-                vals.append((y, D(y)))
+                vals.append((y, u_l - u_r if y == mid else D(y)))
             except _NO_ARC:
                 pass
         for (y0, d0), (y1, d1) in zip(vals, vals[1:]):
@@ -345,14 +354,12 @@ def _shape_of(lap: Sequence, tangency_ys: Sequence[float]) -> tuple[int, int, bo
     return slides, arcs, graze
 
 
-def _is_repulsive(lap: Sequence, sigma) -> bool:
-    for s in lap:
-        if s.kind != "slide":
-            continue
-        mid = 0.5 * (s.y_start + s.y_end)
-        if sigma.label_at(mid) is RegionLabel.REPULSIVE_SLIDING:
-            return True
-    return False
+def _is_repulsive(lap: Sequence, sys: FilippovSystem) -> bool:
+    return any(
+        classify_point(sys, 0.5 * (s.y_start + s.y_end)) is RegionLabel.REPULSIVE_SLIDING
+        for s in lap
+        if s.kind == "slide"
+    )
 
 
 def _frame_with_exit(lap: Sequence, repulsive: bool) -> tuple[float, tuple[int, int, int]]:
@@ -395,11 +402,10 @@ def classify_configuration(
         raise ValueError(
             f"configuration labels need 1 or 2 sliding orbits, got {len(sliding)}"
         )
-    sigma = sigma_decomposition(sys)
     tys = [tp.y for tp in tangency_points(sys)]
     laps = [r.orbit.segments for r in sliding]
     shapes = [_shape_of(lap, tys) for lap in laps]
-    reps = [_is_repulsive(lap, sigma) for lap in laps]
+    reps = [_is_repulsive(lap, sys) for lap in laps]
 
     if len(sliding) == 1:
         (slides, arcs, graze), rep = shapes[0], reps[0]
@@ -489,14 +495,15 @@ def _check_exclusions(
             )
 
 
-def coexistence(sys: FilippovSystem, budget: int = 200) -> CoexistenceReport:
+def coexistence(sys: FilippovSystem, budget: Optional[int] = None) -> CoexistenceReport:
     """Full periodic-orbit census with the coexistence exclusions enforced.
 
     Counts cover crossing and sliding cycles only; standard cycles around a
     linear center come in continua, so a single representative record is
-    appended without entering the counts.
+    appended without entering the counts.  `budget` has no effect: it is
+    accepted for callers written when the sliding search had one.
     """
-    sliding = find_sliding_orbits(sys, budget=budget)
+    sliding = find_sliding_orbits(sys)
     crossing = find_crossing_orbits(sys)
     if sliding:
         label = classify_configuration(sliding, sys)

@@ -296,6 +296,21 @@ def _helper_rotation_invariant(field, u):
     return float(u @ S @ u)
 
 
+@pytest.mark.parametrize("a, t, y", [(0.005, 602.99036, -0.395916), (0.002, 1501.5599, -0.244006)])
+def test_orbit_inside_a_slowly_growing_spiral_reaches_the_axis(a, t, y):
+    # the spiral about the equilibrium (2, 0) keeps x > 0 until its amplitude
+    # passes 2, after about 192 (a = 0.005) or 478 (a = 0.002) half-turns; a
+    # walk of a fixed 130 half-turns took it for a spiral toward the
+    # equilibrium, and the orbit ended Escape with no segment.  solve_ivp at
+    # rtol 1e-12 gives the same return
+    A = np.array([[a, 1.0], [-1.0, a]])
+    f = AffineField(A, -A @ np.array([2.0, 0.0]))
+    seg = filippov_orbit(FilippovSystem(left=f, right=f), (1.9, 0.0)).segments[0]
+    assert seg.side == "right"
+    assert seg.duration == pytest.approx(t, rel=1e-7)
+    assert seg.end[1] == pytest.approx(y, rel=1e-5)
+
+
 def test_first_return_focus_dichotomy_both_time_directions():
     """From a tangency, the loop map expands by exactly exp(2 a t_hit) in the
     invariant quadratic form: neutral for centers, expanding for unstable foci

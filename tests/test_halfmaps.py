@@ -392,7 +392,7 @@ def test_census_falls_back_when_displacement_search_leaves_float_range(seed, dra
     sys = _random_system(rng)
     with pytest.raises(PoleUnresolved):
         zeros_of_D(make_context(to_canonical(sys)[0]))
-    rep = coexistence(sys, budget=60)
+    rep = coexistence(sys)
     for r in rep.records:
         if r.kind == "crossing":
             y0 = r.orbit.segments[0].start[1]

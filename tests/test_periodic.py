@@ -24,6 +24,7 @@ from filippov.core import (
     RawSystem,
     equilibrium_info,
     normalize_to_y_axis,
+    tangency_points,
 )
 from filippov.errors import (
     ConditionViolated,
@@ -392,7 +393,7 @@ def test_random_sweep_stays_inside_taxonomy():
             left=AffineField(M[0][:, :2], M[0][:, 2]),
             right=AffineField(M[1][:, :2], M[1][:, 2]),
         )
-        rep = coexistence(sys, budget=60)
+        rep = coexistence(sys)
         assert rep.n_sliding <= 2
         for r in rep.records:
             if r.configuration is not None:
@@ -445,7 +446,7 @@ def test_scan_reports_only_closing_crossing_cycles(seed, draw):
     # the shooting scan's root solver can converge onto a jump of the return
     # displacement at the edge of its launch domain; such a "root" is no cycle
     sys = _helper_random_draw(seed, draw)
-    rep = coexistence(sys, budget=60)
+    rep = coexistence(sys)
     _helper_assert_crossings_close(sys, rep)
 
 
@@ -482,7 +483,7 @@ def test_sliding_search_first_returns_stay_bounded(monkeypatch):
     # deterministic work guard: axis returns spent by find_sliding_orbits on
     # the first 60 canonical draws at seed 20260823.  Following outward
     # spirals to the segment budget took 18,037; stopping them at the first
-    # outward lap takes about 500
+    # outward lap took 496, and one lap of at most six segments takes 495
     calls = 0
     inner = flow.first_return_to_axis
 
@@ -502,13 +503,83 @@ def test_sliding_search_first_returns_stay_bounded(monkeypatch):
     assert 0 < calls <= 600
 
 
+def _helper_budget_search(sys):
+    """Sliding laps as the search found them while it had a segment budget:
+    each visible tangency's orbit run to 200 segments and kept when it ends
+    Closed, its lap read from `lap_start`, a cycle named by its time
+    direction and exit heights."""
+    laps, seen = [], set()
+    for work, reversed_time in ((sys, False), (sys.time_reversed(), True)):
+        for tp in tangency_points(work):
+            if tp.visibility != "visible":
+                continue
+            try:
+                orbit = filippov_orbit(work, tp.location, budget=200)
+            except OverflowError:
+                continue
+            if orbit.terminal_event.kind != "Closed":
+                continue
+            lap = orbit.segments[orbit.lap_start :]
+            key = (reversed_time, frozenset(s.y_end for s in lap if s.kind == "slide"))
+            if not key[1] or key in seen or not all(math.isfinite(s.duration) for s in lap):
+                continue
+            seen.add(key)
+            lap = periodic._reversed(lap) if reversed_time else lap
+            laps.append(periodic._closed_lap(lap, orbit.grazed_tangencies))
+    if len(laps) > 2:
+        raise TheoremViolation(f"{len(laps)} sliding orbits")
+    return laps
+
+
+def _helper_sliding_outcome(search, sys):
+    try:
+        return search(sys)
+    except (DegenerateField, DegenerateTangency, TheoremViolation) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "draw_system, n",
+    [(_random_system, 2000), (lambda rng: _random_addcond_params(rng).realize(), 200)],
+    ids=["check-1", "canonical"],
+)
+def test_sliding_search_matches_the_budgeted_search(draw_system, n):
+    # reference oracle: one lap from each exit tangency, closed on the
+    # tangency's own float, finds the same laps as following each tangency
+    # orbit for 200 segments to a confirmed closure, forward and reversed
+    def laps(sys):
+        return [r.orbit for r in find_sliding_orbits(sys)]
+
+    rng = np.random.default_rng(20260823)
+    found = 0
+    for draw in range(n):
+        sys = draw_system(rng)
+        for work in (sys, sys.time_reversed()):
+            want = _helper_sliding_outcome(_helper_budget_search, work)
+            assert _helper_sliding_outcome(laps, work) == want, draw
+            found += isinstance(want, list) and len(want)
+    assert found
+
+
+def test_census_ignores_a_budget():
+    # callers written for the budgeted search still pass one
+    rng = np.random.default_rng(20260823)
+    for _ in range(40):
+        sys = _random_system(rng)
+        try:
+            want = coexistence(sys)
+        except (DegenerateField, DegenerateTangency):
+            continue
+        assert coexistence(sys, budget=60) == want
+
+
 @pytest.mark.parametrize("draw", [1097, 4253, 5618, 5808, 6190, 6830, 8316])
 def test_scan_multipliers_of_nearly_superstable_cycles_are_positive(draw):
     # check 1's draws at seed 20260823 whose cycles contract by 1e-9 or
     # more per lap: a finite-difference slope of the lap displacement read
     # their multipliers as negative or exactly 0.0, but a crossing lap's
     # multiplier is a product of two negative half-map slopes
-    rep = coexistence(_helper_random_draw(20260823, draw), budget=60)
+    rep = coexistence(_helper_random_draw(20260823, draw))
     mults = _helper_crossing_mults(rep)
     assert all(m > 0.0 for m in mults)
     # draw 8316 also carries an unstable cycle, multiplier 3.74
@@ -591,8 +662,8 @@ def test_scan_finds_the_cycle_next_to_the_lap_map_edge(draw, multiplier):
     # repels by 1e6 in reversed time: a lap multiplies the error of its start
     # height by that much, so only a root polished to 1e-15 closes it to 1e-8
     sys = _helper_random_draw(20260823, draw)
-    fwd = coexistence(sys, budget=60)
-    bwd = coexistence(sys.time_reversed(), budget=60)
+    fwd = coexistence(sys)
+    bwd = coexistence(sys.time_reversed())
     _helper_assert_crossings_close(sys, fwd)
     assert _helper_crossing_mults(fwd) == [pytest.approx(multiplier, rel=1e-4)]
     assert _helper_crossing_mults(bwd) == [pytest.approx(1.0 / multiplier, rel=1e-4)]
@@ -611,7 +682,8 @@ def test_crossing_search_first_returns_stay_bounded(monkeypatch, draw_system, n,
     # the first 300 check-1 draws and the first 200 canonical draws at seed
     # 20260823.  On check 1, shooting the lap map from its lower domain edge
     # took 20,409, and scanning D over its closed-form domain pieces takes
-    # about 2,900; the canonical draws take about 15,500
+    # 2,820; the canonical draws take 15,072.  Probing each piece at the
+    # grid's own middle point saves the 2 returns its D value would repeat
     calls = 0
     inner = periodic.first_return_to_axis
 
@@ -633,8 +705,8 @@ def test_crossing_count_survives_time_reversal(draw):
     # time was reversed: shooting the lap map found their cycles from one
     # half-line only, where the map's domain was wide enough for its probes
     sys = _helper_random_draw(7, draw)
-    fwd = coexistence(sys, budget=60)
-    bwd = coexistence(sys.time_reversed(), budget=60)
+    fwd = coexistence(sys)
+    bwd = coexistence(sys.time_reversed())
     assert fwd.n_crossing == bwd.n_crossing == 1
 
 
