@@ -79,7 +79,7 @@ class CanonicalParams:
         )
         return FilippovSystem(left=left, right=right)
 
-    def satisfies_addcond(self, tol: float = 1e-9) -> bool:
+    def satisfies_addcond(self) -> bool:
         """Sign and symmetry conditions under which the half-map theory applies."""
         gamma_scale = 1.0 + abs(self.gamma1) + abs(self.gamma3)
         return (
@@ -88,7 +88,7 @@ class CanonicalParams:
             and self.eta > 0.0
             and self.rho - self.gamma3 * self.eta < 0.0
             and self.delta == 1
-            and abs(self.gamma1 - self.gamma3) <= tol * gamma_scale
+            and abs(self.gamma1 - self.gamma3) <= 1e-9 * gamma_scale
             and self.tau > 0.0
             and self.tau**2 < 4.0 * self.Delta
         )

@@ -18,11 +18,10 @@ import numpy as np
 
 from .acceptance import default_seed, run_acceptance
 from .canonical import check_premises, to_canonical
-from .core import equilibrium_info, sigma_decomposition, tangency_points
-from .errors import FilippovError, SpecFileError
+from .core import crossing_sets, equilibrium_info, sigma_decomposition, tangency_points
+from .errors import DomainError, FilippovError, SpecFileError
 from .flow import filippov_orbit, linear_flow
-from .halfmaps import P_L_inv, P_R, make_context
-from .periodic import coexistence
+from .periodic import _NO_ARC, _arc, coexistence
 from .report import _params_obj, build_report, format_csv, report_to_json
 from .specfile import SystemSpecFile, resolve_spec
 
@@ -114,8 +113,15 @@ def _require_finite(args, *names: str) -> None:
             raise SpecFileError(f"{flag} wants a finite number, got {value!r}")
 
 
+def _require_count(args, name: str) -> None:
+    value = getattr(args, name)
+    if value < 1:
+        raise SpecFileError(f"--{name} wants a count >= 1, got {value!r}")
+
+
 def cmd_orbit(args) -> int:
     _require_finite(args, "x0", "y0")
+    _require_count(args, "budget")
     spec = resolve_spec(args.spec)
     fsys = spec.normalized()
     work = fsys.time_reversed() if args.backward else fsys
@@ -152,21 +158,24 @@ def cmd_orbit(args) -> int:
 
 def cmd_dfunc(args) -> int:
     _require_finite(args, "y_min", "y_max")
-    spec = resolve_spec(args.spec)
-    params, rec = to_canonical(spec.normalized())
-    ctx = make_context(params)
+    _require_count(args, "samples")
+    fsys = resolve_spec(args.spec).normalized()
+    launch, landing = crossing_sets(fsys)
+    if launch is None:
+        raise DomainError("no crossing half-lines: D = P_Linv - P_R is defined nowhere")
+    # the census's D, from both exact arcs on the upper crossing half-line
+    edge = launch[0] if launch[1] == math.inf else landing[0]
+
+    def arc(side: str, y: float) -> float:
+        try:
+            return _arc(fsys, side, y) if y >= edge else math.nan
+        except _NO_ARC:
+            return math.nan
+
     rows: list[list] = []
-    for y in np.linspace(args.y_min, args.y_max, args.samples):
-        yc = rec.push_axis(float(y))
-        vals = []
-        for fn in (P_R, P_L_inv):
-            try:
-                vals.append(fn(yc, ctx))
-            except (FilippovError, ValueError, OverflowError):
-                vals.append(float("nan"))
-        pr, pl = vals
-        d = pl - pr if math.isfinite(pr) and math.isfinite(pl) else float("nan")
-        rows.append([float(y), pr, pl, d])
+    for y in np.linspace(args.y_min, args.y_max, args.samples).tolist():
+        pr, pl = arc("right", y), arc("left", y)
+        rows.append([y, pr, pl, pl - pr])
     _emit(args, format_csv(["y", "P_R", "P_Linv", "D"], rows))
     return 0
 

@@ -271,10 +271,6 @@ class TransformRecord:
             return self.map_right.inverse().apply(z_new)
         return self.map_left.inverse().apply(z_new)
 
-    def push_axis(self, y: float) -> float:
-        """Image on the axis of the axis point (0, y)."""
-        return float(self.map_right.apply((0.0, y))[1])
-
     def pullback_axis(self, y_new: float) -> float:
         return float(self.map_right.inverse().apply((0.0, y_new))[1])
 

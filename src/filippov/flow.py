@@ -21,6 +21,7 @@ from .core import (
     FilippovSystem,
     RegionLabel,
     SLIDING_LABELS,
+    VANISH_TOL,
     axis_breakpoints,
     classify_point,
     crossing_sets,
@@ -382,6 +383,10 @@ def _walk_to_axis(
     raise NoReturn("no axis return found within the scan horizon")
 
 
+def _off_axis(x: float, y: float) -> bool:
+    return abs(x) > 1e-9 * (1.0 + abs(y))
+
+
 def first_return_to_axis(field: AffineField, z0, side: str) -> tuple[float, np.ndarray]:
     """First positive-time axis intersection of the one-zone orbit from z0.
 
@@ -393,12 +398,12 @@ def first_return_to_axis(field: AffineField, z0, side: str) -> tuple[float, np.n
     x0, y0 = float(z0[0]), float(z0[1])
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise DomainError(f"start point ({x0}, {y0}) is not finite")
-    if abs(x0) > 1e-9 * (1.0 + abs(y0)):
+    if _off_axis(x0, y0):
         raise DomainError("start point must lie on the switching line")
     ev = _eigen(field)
     vx0 = ev.a12 * y0 + ev.b1
     vy0 = ev.a22 * y0 + ev.b2
-    if abs(vx0) > 1e-10 * (1.0 + math.hypot(vx0, vy0)):
+    if abs(vx0) > VANISH_TOL * (1.0 + math.hypot(vx0, vy0)):
         if (vx0 > 0.0) != (side == "right"):
             raise DomainError("orbit departs into the opposite side")
     elif tangency_visibility(field, side, y0) != "visible":
@@ -589,7 +594,7 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
         return Orbit(tuple(segments), event, tuple(grazes), lap)
 
     # Interior start: ride the current zone to the axis first.
-    if abs(z[0]) > 1e-9 * (1.0 + abs(z[1])):
+    if _off_axis(z[0], z[1]):
         side = "right" if z[0] > 0.0 else "left"
         f = sys.field(side)
         try:

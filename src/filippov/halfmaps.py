@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .canonical import CanonicalParams, shear_to_equal_gammas
-from .core import TransformRecord
 from .errors import ConditionViolated, DomainError, OutOfRange, PoleUnresolved
 from .roots import brentq
 
@@ -28,9 +26,9 @@ _Y_CAP = 1e12
 class HalfMapContext:
     """Frozen scaffolding for the two half-maps of one parameter set.
 
-    params always has gamma1 == gamma3; inputs that need the equalizing shear
-    carry the shear record (the switching line itself is fixed pointwise by
-    the shear, so axis quantities need no pullback).
+    params always has gamma1 == gamma3: inputs that need it are sheared
+    first, and the shear fixes the switching line pointwise, so axis
+    quantities need no pullback.
     """
 
     params: CanonicalParams
@@ -39,7 +37,6 @@ class HalfMapContext:
     t_hat_plus: float
     y_eta: float
     y_star: float
-    shear: Optional[TransformRecord] = None
 
 
 def phi(sign: int, t: float, gamma3: float, nu: float) -> float:
@@ -107,10 +104,7 @@ def solve_t_hats(params: CanonicalParams) -> tuple[float, float]:
 
 def make_context(params: CanonicalParams) -> HalfMapContext:
     """Build the half-map scaffolding, shearing first when gamma1 != gamma3."""
-    shear = None
-    p = params
-    if p.gamma1 != p.gamma3:
-        p, shear = shear_to_equal_gammas(p)
+    p = shear_to_equal_gammas(params)[0] if params.gamma1 != params.gamma3 else params
     t_minus, t_plus = solve_t_hats(p)
     nu = p.nu
     K = nu * (p.rho - p.gamma3 * p.eta) / p.Delta
@@ -124,7 +118,6 @@ def make_context(params: CanonicalParams) -> HalfMapContext:
         t_hat_plus=t_plus,
         y_eta=y_eta,
         y_star=max(y_eta, 0.0),
-        shear=shear,
     )
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "solve_eta_c",
 ]
 
-_GRAZE_TOL = 1e-9
 # an arc that does not return, or leaves float range before it does, is no
 # arc of a crossing cycle
 _NO_ARC = (DomainError, NoReturn, OverflowError)
@@ -346,11 +345,8 @@ def _arc_junction_ys(lap: Sequence) -> list[float]:
 def _shape_of(lap: Sequence, tangency_ys: Sequence[float]) -> tuple[int, int, bool]:
     slides = sum(1 for s in lap if s.kind == "slide")
     arcs = sum(1 for s in lap if s.kind == "flow")
-    graze = any(
-        abs(yj - yt) <= _GRAZE_TOL * (1.0 + abs(yt))
-        for yj in _arc_junction_ys(lap)
-        for yt in tangency_ys
-    )
+    # a grazing landing was snapped onto the tangency's own float
+    graze = any(yj in tangency_ys for yj in _arc_junction_ys(lap))
     return slides, arcs, graze
 
 

@@ -113,12 +113,12 @@ def test_solve_t_hats_refuses_bad_parameters():
 
 
 def test_make_context_applies_shear_when_needed():
+    # the scenario's gamma1 = 2 and gamma3 = 0 come out equalized
     ctx = _helper_scenario_context(0.05, -1.0)
-    assert ctx.shear is not None
     assert ctx.params.gamma1 == ctx.params.gamma3 == 1.0
     assert ctx.params.gamma2 == pytest.approx(-1.0)
     plain = _helper_context()
-    assert plain.shear is None
+    assert plain.params == _helper_params(1.0, 1.0, 0.4, -1.5, 0.8, -0.2)
 
 
 # ---------------------------------------------------------------------------

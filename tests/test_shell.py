@@ -7,12 +7,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from filippov.canonical import to_canonical
 from filippov.cli import main
-from filippov.errors import SpecFileError, ZeroNormal
+from filippov.errors import FilippovError, SpecFileError, ZeroNormal
+from filippov.halfmaps import P_L_inv, P_R, make_context
+from filippov.periodic import coexistence
 from filippov.report import format_csv
 from filippov.specfile import (
     BUNDLED_NAMES,
@@ -39,6 +43,27 @@ def _helper_spec_dict(**overrides):
 def _helper_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def _helper_conjugated(spec, k):
+    """The same system in the coordinates (x, k y), as a spec file."""
+    (a, b), (c, d) = spec.A_plus
+    (e, f), (g, h) = spec.A_minus
+    return replace(
+        spec,
+        A_plus=((a, b / k), (c * k, d)),
+        b_plus=(spec.b_plus[0], k * spec.b_plus[1]),
+        A_minus=((e, f / k), (g * k, h)),
+        b_minus=(spec.b_minus[0], k * spec.b_minus[1]),
+        c=(spec.c[0], spec.c[1] / k),
+    )
+
+
+def _helper_dfunc_rows(capsys, spec, y_min, y_max, samples):
+    args = ["dfunc", spec, f"--y-min={y_min!r}", f"--y-max={y_max!r}", "--samples", str(samples)]
+    assert main(args) == 0
+    _, rows = _helper_csv(capsys.readouterr().out)
+    return [[float(v) for v in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +223,70 @@ def test_cli_dfunc_example6_one_sign_change(capsys):
     assert changes == 1
 
 
+_CLOSED_FORM_SPECS = ("example3", "example4", "example6", "example7", "crossing_sliding_rho")
+
+
+@pytest.mark.parametrize("k", [1.0, 3.0])
+@pytest.mark.parametrize("name", _CLOSED_FORM_SPECS)
+def test_cli_dfunc_matches_the_closed_form_in_the_systems_frame(name, k, tmp_path, capsys):
+    # the closed form is evaluated in canonical coordinates and its landings
+    # pulled back; flp dfunc prints the exact arcs in the spec's own frame
+    spec = _helper_conjugated(resolve_spec(name), k)
+    path = tmp_path / "sys.json"
+    path.write_text(serialize_spec(spec))
+    params, rec = to_canonical(spec.normalized())
+    ctx = make_context(params)
+    compared = 0
+    for y, pr, pl, _ in _helper_dfunc_rows(capsys, str(path), -2.0 * k, 50.0 * k, 53):
+        yc = float(rec.push((0.0, y))[1])
+        for value, fn in ((pr, P_R), (pl, P_L_inv)):
+            if not math.isfinite(value):
+                continue
+            try:
+                expected = rec.pullback_axis(fn(yc, ctx))
+            except (FilippovError, ValueError, OverflowError):
+                expected = math.nan
+            assert abs(value - expected) <= 1e-10 * max(1.0, abs(expected)), (y, value, expected)
+            compared += 1
+    assert compared >= 50
+
+
+def test_cli_dfunc_follows_a_change_of_axis_scale(tmp_path, capsys):
+    path = tmp_path / "example6_3y.json"
+    path.write_text(serialize_spec(_helper_conjugated(resolve_spec("example6"), 3.0)))
+    scaled = _helper_dfunc_rows(capsys, str(path), -6.0, 60.0, 45)
+    plain = _helper_dfunc_rows(capsys, "example6", -2.0, 20.0, 45)
+    assert sum(math.isfinite(row[3]) for row in plain) >= 40
+    for row3, row in zip(scaled, plain):
+        for a, b in zip(row3, row):
+            if math.isnan(b):
+                assert math.isnan(a), (row3, row)
+            else:
+                assert abs(a - 3.0 * b) <= 1e-9 * max(1.0, abs(a)), (row3, row)
+
+
+def test_cli_dfunc_vanishes_at_every_crossing_cycle(capsys):
+    served = []
+    for name in BUNDLED_NAMES:
+        rep = coexistence(resolve_spec(name).normalized())
+        for rec in rep.records:
+            if rec.kind != "crossing":
+                continue
+            y = rec.orbit.segments[0].start[1]
+            ((_, _, _, d),) = _helper_dfunc_rows(capsys, name, y, y, 1)
+            assert abs(d) <= 1e-9 * max(1.0, abs(y)), (name, y, d)
+            served.append(name)
+    assert {"example2", "crossing_sliding_eta"} <= set(served)
+
+
+def test_cli_dfunc_without_crossing_half_lines_exit1(capsys):
+    args = ["dfunc", "example1", "--y-min", "0", "--y-max", "1", "--samples", "3"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DomainError" in captured.err
+
+
 def test_cli_orbit_forward_csv(capsys):
     args = ["orbit", "example1", "--x0", "0.5", "--y0", "0.5", "--budget", "40"]
     assert main(args) == 0
@@ -228,14 +317,20 @@ def test_cli_orbit_backward_samples_spiral(capsys):
         (["orbit", "example1", "--x0", "0", "--y0", "inf"], "--y0"),
         (["dfunc", "example6", "--y-min=-inf", "--y-max", "1", "--samples", "3"], "--y-min"),
         (["dfunc", "example6", "--y-min", "0", "--y-max", "nan", "--samples", "3"], "--y-max"),
+        (["dfunc", "example6", "--y-min", "0", "--y-max", "1", "--samples=-1"], "--samples"),
+        (["dfunc", "example6", "--y-min", "0", "--y-max", "1", "--samples", "0"], "--samples"),
+        (["orbit", "example1", "--x0", "0.5", "--y0", "0.5", "--budget", "0"], "--budget"),
+        (["orbit", "example1", "--x0", "0.5", "--y0", "0.5", "--budget=-3"], "--budget"),
     ],
 )
 def test_cli_non_finite_numbers_exit2(args, flag, capsys):
-    # nan ran an orbit from (0, 0), inf printed an empty CSV, both exiting 0
+    # nan ran an orbit from (0, 0), inf printed an empty CSV, both exiting 0;
+    # a count below 1 printed a bare header, a traceback or a one-segment orbit
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{flag} wants a finite number" in captured.err
+    want = "a count >= 1" if flag in ("--samples", "--budget") else "a finite number"
+    assert f"{flag} wants {want}" in captured.err
 
 
 def test_cli_out_file_matches_stdout(tmp_path, capsys):
