@@ -118,10 +118,8 @@ def check_premises(sys: FilippovSystem) -> PremiseReport:
     else:
         side = "none"
 
-    ap = float(sys.right.A[0, 1])
-    am = float(sys.left.A[0, 1])
-    bp = float(sys.right.b[0])
-    bm = float(sys.left.b[0])
+    _, ap, _, _, bp, _ = sys.right.entries
+    _, am, _, _, bm, _ = sys.left.entries
     cross = ap * bm - am * bp
     scale = 1.0 + abs(ap * bm) + abs(am * bp)
     return PremiseReport(
@@ -167,7 +165,7 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
     work = sys
     rec = identity_record()
 
-    if float(work.field(side).A[0, 1]) < 0.0:
+    if work.field(side).entries[1] < 0.0:
         work = work.time_reversed()
         rec = rec.then(
             TransformRecord(
@@ -181,16 +179,14 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         K = np.diag([-1.0, 1.0])
         work = work.mirrored()
         rec = rec.then(_global_map_record(K, np.zeros(2), True, "mirror"))
-        if float(work.right.A[0, 1]) < 0.0:
+        if work.right.entries[1] < 0.0:
             J = np.diag([1.0, -1.0])
             work = _conjugate(work, J)
             rec = rec.then(_global_map_record(J, np.zeros(2), False, "y-flip"))
 
-    a12 = float(work.right.A[0, 1])
+    _, a12, _, a22, b1, _ = work.right.entries
     if a12 <= 0.0:  # focus premise guarantees a12 != 0; sign fixed above
         raise AssertionError("internal: upper-right entry not positive after setup")
-    a22 = float(work.right.A[1, 1])
-    b1 = float(work.right.b[0])
     disc0 = work.right.discriminant
 
     # Similarity built from the right field that zeroes its lower-right entry
@@ -205,7 +201,7 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
     work = FilippovSystem(left=through_M(work.left), right=through_M(work.right))
     rec = rec.then(_global_map_record(Minv, -(Minv @ k), False, "right-similarity"))
 
-    a12_prod = float(work.left.A[0, 1])  # equals a12 * (left upper-right entry)
+    a12_prod = work.left.entries[1]  # equals a12 * (left upper-right entry)
     delta = int(np.sign(a12_prod))
     u = 1.0 / abs(a12_prod) if a12_prod != 0.0 else 1.0
 
@@ -225,7 +221,7 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         )
     )
 
-    disc_scale = 1.0 + float(np.max(np.abs(sys.right.A))) ** 2
+    disc_scale = 1.0 + max(abs(a) for a in sys.right.entries[:4]) ** 2
     if abs(disc0) <= 1e-13 * disc_scale:
         w = 1.0
         m = 0
@@ -250,15 +246,16 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         )
     )
 
+    gamma1, _, gamma2, gamma3, eta, rho = work.left.entries
     params = CanonicalParams(
-        alpha=float(work.right.A[0, 0]) / 2.0,
-        beta=float(work.right.b[1]),
+        alpha=work.right.entries[0] / 2.0,
+        beta=work.right.entries[5],
         delta=delta,
-        eta=float(work.left.b[0]),
-        rho=float(work.left.b[1]),
-        gamma1=float(work.left.A[0, 0]),
-        gamma2=float(work.left.A[1, 0]),
-        gamma3=float(work.left.A[1, 1]),
+        eta=eta,
+        rho=rho,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        gamma3=gamma3,
         m=m,
     )
     return params, rec

@@ -101,8 +101,7 @@ def _entry_side(work, x0: float, y0: float) -> str:
         return "right"
     if x0 < 0.0:
         return "left"
-    vx = float(work.right.velocity((0.0, y0))[0])
-    return "right" if vx > 0.0 else "left"
+    return "right" if work.vx_right(y0) > 0.0 else "left"
 
 
 def _require_finite(args, *names: str) -> None:
@@ -223,12 +222,14 @@ def _set_param(spec: SystemSpecFile, path: str, value: float) -> SystemSpecFile:
                 raise IndexError
             return replace(spec, d=value)
         current = getattr(spec, field)
+        # only the indices 0 and 1: int() would take -1 and edit another entry
+        index = [("0", "1").index(p) for p in parts[1:]]
         if field.startswith("A"):
-            i, j = (int(p) for p in parts[1:])
+            i, j = index
             grid = [list(row) for row in current]
             grid[i][j] = value
             return replace(spec, **{field: tuple(tuple(row) for row in grid)})
-        (i,) = (int(p) for p in parts[1:])
+        (i,) = index
         vec = list(current)
         vec[i] = value
         return replace(spec, **{field: tuple(vec)})

@@ -55,36 +55,38 @@ class AffineField:
         object.__setattr__(self, "b", _as_vector(self.b))
 
     @cached_property
+    def entries(self) -> tuple[float, float, float, float, float, float]:
+        """(a11, a12, a21, a22, b1, b2) as plain floats."""
+        (a11, a12), (a21, a22) = self.A.tolist()
+        return a11, a12, a21, a22, *self.b.tolist()
+
+    @cached_property
     def det(self) -> float:
-        return float(self.A[0, 0] * self.A[1, 1] - self.A[0, 1] * self.A[1, 0])
+        a11, a12, a21, a22, _, _ = self.entries
+        return a11 * a22 - a12 * a21
 
     @cached_property
     def trace(self) -> float:
-        return float(self.A[0, 0] + self.A[1, 1])
+        return self.entries[0] + self.entries[3]
 
     @cached_property
     def discriminant(self) -> float:
         return self.trace * self.trace - 4.0 * self.det
 
-    @property
+    @cached_property
     def is_degenerate(self) -> bool:
-        scale = float(np.max(np.abs(self.A))) + 1.0
+        scale = max(abs(a) for a in self.entries[:4]) + 1.0
         return abs(self.det) <= 1e-14 * scale * scale
 
     def velocity(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return self.A @ z + self.b
 
-    # Velocity components restricted to the axis are affine in y; these
-    # (slope, intercept) pairs drive all the region bookkeeping.
-    def axis_vx_coeffs(self) -> tuple[float, float]:
-        return float(self.A[0, 1]), float(self.b[0])
-
-    def axis_vy_coeffs(self) -> tuple[float, float]:
-        return float(self.A[1, 1]), float(self.b[1])
-
-    def axis_vx(self, y: float) -> float:
-        return float(self.A[0, 1] * y + self.b[0])
+    def axis_velocity(self, y: float) -> tuple[float, float]:
+        """(vx, vy) at the axis point (0, y): affine in y, and all that the
+        region bookkeeping of the switching line reads."""
+        _, a12, _, a22, b1, b2 = self.entries
+        return a12 * y + b1, a22 * y + b2
 
     def negated(self) -> "AffineField":
         return self._negated
@@ -138,10 +140,10 @@ class FilippovSystem:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def vx_right(self, y: float) -> float:
-        return self.right.axis_vx(y)
+        return self.right.axis_velocity(y)[0]
 
     def vx_left(self, y: float) -> float:
-        return self.left.axis_vx(y)
+        return self.left.axis_velocity(y)[0]
 
     def mirrored(self) -> "FilippovSystem":
         """Reflect x -> -x; the two zones swap roles."""
@@ -169,9 +171,6 @@ class RegionLabel(Enum):
 
 SLIDING_LABELS = frozenset(
     {RegionLabel.ATTRACTIVE_SLIDING, RegionLabel.REPULSIVE_SLIDING}
-)
-TANGENCY_LABELS = frozenset(
-    {RegionLabel.TANGENCY_LEFT, RegionLabel.TANGENCY_RIGHT, RegionLabel.TANGENCY_BOTH}
 )
 
 
@@ -345,12 +344,11 @@ def classify_point(sys: FilippovSystem, y: float) -> RegionLabel:
     by the sign of the product of the two x-velocities.  Raises
     VelocityOverflow when either field's speed at the point is not finite.
     """
-    z = np.array([0.0, float(y)])
-    with np.errstate(over="ignore"):
-        f_r = sys.right.velocity(z)
-        f_l = sys.left.velocity(z)
-        nr = float(np.hypot(*f_r))
-        nl = float(np.hypot(*f_l))
+    y = float(y)
+    vp, vy_r = sys.right.axis_velocity(y)
+    vm, vy_l = sys.left.axis_velocity(y)
+    nr = math.hypot(vp, vy_r)
+    nl = math.hypot(vm, vy_l)
     if not (nr < math.inf and nl < math.inf):
         raise VelocityOverflow(f"field speed at (0, {y}) is not a finite float")
     if nr <= VANISH_TOL * (1.0 + nr):
@@ -358,15 +356,13 @@ def classify_point(sys: FilippovSystem, y: float) -> RegionLabel:
     if nl <= VANISH_TOL * (1.0 + nl):
         return RegionLabel.BOUNDARY_EQUILIBRIUM_LEFT
 
-    vp = float(f_r[0])
-    vm = float(f_l[0])
     p_zero = _vanishes(vp, nr)
     m_zero = _vanishes(vm, nl)
     if p_zero and m_zero:
         # Coincident tangency: the local sign pattern decides whether this is
         # an isolated contact inside a crossing zone or the seam between an
         # attractive and a repulsive sliding zone.
-        slope_prod = sys.right.A[0, 1] * sys.left.A[0, 1]
+        slope_prod = sys.right.entries[1] * sys.left.entries[1]
         if slope_prod > 0.0:
             return RegionLabel.TANGENCY_BOTH
         return RegionLabel.SINGULAR_SLIDING
@@ -388,10 +384,8 @@ def sliding_numerator_coeffs(sys: FilippovSystem) -> tuple[float, float, float]:
     N collects the convex-combination numerator vm*f2_right - vp*f2_left; it
     is at most quadratic in y.
     """
-    pa, pb = sys.right.axis_vx_coeffs()
-    qa, qb = sys.right.axis_vy_coeffs()
-    ma, mb = sys.left.axis_vx_coeffs()
-    ra, rb = sys.left.axis_vy_coeffs()
+    _, pa, _, qa, pb, qb = sys.right.entries
+    _, ma, _, ra, mb, rb = sys.left.entries
     n2 = ma * qa - pa * ra
     n1 = ma * qb + mb * qa - pa * rb - pb * ra
     n0 = mb * qb - pb * rb
@@ -400,8 +394,8 @@ def sliding_numerator_coeffs(sys: FilippovSystem) -> tuple[float, float, float]:
 
 def sliding_denominator_coeffs(sys: FilippovSystem) -> tuple[float, float]:
     """Coefficients (d1, d0) of Dn(y) = vm(y) - vp(y)."""
-    pa, pb = sys.right.axis_vx_coeffs()
-    ma, mb = sys.left.axis_vx_coeffs()
+    _, pa, _, _, pb, _ = sys.right.entries
+    _, ma, _, _, mb, _ = sys.left.entries
     return ma - pa, mb - pb
 
 
@@ -478,14 +472,14 @@ def equilibrium_info(field: AffineField, side: str) -> EquilibriumInfo:
     else:
         kind, stability = "node", "stable" if tr < 0 else "unstable"
 
-    x = float(loc[0])
-    if abs(x) <= VANISH_TOL * (1.0 + abs(x) + float(np.hypot(*loc))):
+    x, y = loc.tolist()
+    if abs(x) <= VANISH_TOL * (1.0 + abs(x) + math.hypot(x, y)):
         placement = "boundary"
     elif (x > 0.0) == (side == "right"):
         placement = "admissible"
     else:
         placement = "virtual"
-    return EquilibriumInfo((float(loc[0]), float(loc[1])), kind, stability, placement)
+    return EquilibriumInfo((x, y), kind, stability, placement)
 
 
 def tangency_visibility(field: AffineField, side: str, y: float) -> str:
@@ -495,10 +489,10 @@ def tangency_visibility(field: AffineField, side: str, y: float) -> str:
     for the right field a positive value means the parabolic arc bends into
     x > 0, so the contact is visible; for the left field the sign flips.
     """
-    a12 = float(field.A[0, 1])
-    vel = field.velocity((0.0, y))
-    kappa = a12 * float(vel[1])
-    if abs(kappa) <= VANISH_TOL * (1.0 + abs(a12) + float(np.hypot(*vel))):
+    a12 = field.entries[1]
+    vx, vy = field.axis_velocity(y)
+    kappa = a12 * vy
+    if abs(kappa) <= VANISH_TOL * (1.0 + abs(a12) + math.hypot(vx, vy)):
         return "degenerate"
     if (kappa > 0.0) == (side == "right"):
         return "visible"
@@ -510,11 +504,11 @@ def tangency_points(sys: FilippovSystem) -> list[TangencyInfo]:
     out: list[TangencyInfo] = []
     for side in ("left", "right"):
         f = sys.field(side)
-        a12, b1 = f.axis_vx_coeffs()
+        a12, b1 = f.entries[1], f.entries[4]
         if a12 == 0.0:
             continue  # constant x-velocity: either no root or degenerate line
         y_t = -b1 / a12
-        speed = float(np.hypot(*f.velocity((0.0, y_t))))
+        speed = math.hypot(*f.axis_velocity(y_t))
         if speed <= VANISH_TOL * (1.0 + speed):
             continue  # the whole field vanishes: boundary equilibrium, not a tangency
         out.append(TangencyInfo((0.0, y_t), side, tangency_visibility(f, side, y_t)))
@@ -526,7 +520,7 @@ def axis_breakpoints(sys: FilippovSystem) -> list[float]:
     """Sorted roots of the two axis x-velocities, repeats kept."""
     bps = []
     for f in (sys.left, sys.right):
-        a12, b1 = f.axis_vx_coeffs()
+        a12, b1 = f.entries[1], f.entries[4]
         if a12 != 0.0:
             bps.append(-b1 / a12)
     return sorted(bps)
@@ -542,8 +536,8 @@ def crossing_sets(
     one sign, and then they are opposite half-lines beyond the two
     tangencies; otherwise no crossing lap exists and both are None.
     """
-    a_r, b_r = sys.right.axis_vx_coeffs()
-    a_l, b_l = sys.left.axis_vx_coeffs()
+    a_r, b_r = sys.right.entries[1], sys.right.entries[4]
+    a_l, b_l = sys.left.entries[1], sys.left.entries[4]
     if a_r == 0.0 or a_l == 0.0 or (a_r > 0.0) != (a_l > 0.0):
         return None, None
     t_r, t_l = -b_r / a_r, -b_l / a_l
@@ -570,9 +564,9 @@ def sigma_decomposition(sys: FilippovSystem) -> SigmaDecomposition:
         if math.isinf(lo) and math.isinf(hi):
             mid = 0.0
         elif math.isinf(lo):
-            mid = hi - 1.0
+            mid = hi - max(1.0, abs(hi))
         elif math.isinf(hi):
-            mid = lo + 1.0
+            mid = lo + max(1.0, abs(lo))
         else:
             mid = 0.5 * (lo + hi)
         intervals.append(AxisInterval(lo, hi, classify_point(sys, mid)))

@@ -56,8 +56,7 @@ class _Eigen:
     """
 
     def __init__(self, f: AffineField):
-        (a11, a12), (a21, a22) = f.A.tolist()
-        b1, b2 = f.b.tolist()
+        a11, a12, a21, a22, b1, b2 = f.entries
         self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
         self.b1, self.b2 = b1, b2
         a_max = max(abs(a11), abs(a12), abs(a21), abs(a22))
@@ -316,7 +315,7 @@ def _walk_to_axis(
         return t, np.array([0.0, y])
 
     def _root(lo: float, hi: float) -> tuple[float, np.ndarray]:
-        return _finish(brentq(xf, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        return _finish(brentq(xf, lo, hi, xtol=1e-14))
 
     prev_t = 0.0
     complex_spectrum = ev.kind == "complex"
@@ -400,9 +399,7 @@ def first_return_to_axis(field: AffineField, z0, side: str) -> tuple[float, np.n
         raise DomainError(f"start point ({x0}, {y0}) is not finite")
     if _off_axis(x0, y0):
         raise DomainError("start point must lie on the switching line")
-    ev = _eigen(field)
-    vx0 = ev.a12 * y0 + ev.b1
-    vy0 = ev.a22 * y0 + ev.b2
+    vx0, vy0 = field.axis_velocity(y0)
     if abs(vx0) > VANISH_TOL * (1.0 + math.hypot(vx0, vy0)):
         if (vx0 > 0.0) != (side == "right"):
             raise DomainError("orbit departs into the opposite side")

@@ -57,7 +57,7 @@ def _polished_root(f, fprime, lo: float, hi: float, xtol: float = 1e-14) -> floa
     """Root of f bracketed by [lo, hi]: brentq, then at most two Newton steps,
     each kept only while f' is finite and nonzero and the step stays in
     [lo, hi]."""
-    t = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+    t = brentq(f, lo, hi, xtol=xtol)
     for _ in range(2):
         d = fprime(t)
         if not math.isfinite(d) or d == 0.0:
@@ -305,7 +305,7 @@ def zeros_of_D(ctx: HalfMapContext) -> list[DisplacementZero]:
     if abs(D0) <= _ENDPOINT_ZERO_TOL or D0 > 0.0:
         slope0 = D_prime(probe)
         if slope0 < 0.0:
-            y_min = brentq(D_prime, probe, Y, xtol=1e-13, rtol=8.9e-16)
+            y_min = brentq(D_prime, probe, Y, xtol=1e-13)
             D_min = displacement(y_min, ctx)
             if abs(D0) <= _ENDPOINT_ZERO_TOL:
                 if D_min < -_ZERO_REFINE_TOL:

@@ -213,8 +213,8 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
             return None
         y1 = snap_to_tangency(float(z1[1]), [tp.y for tp in tangencies], grazes)
         own = [tp.y for tp in tangencies if tp.side == side]
-        v0 = 0.0 if y0 in own else abs(f.axis_vx(y0))
-        v1 = 0.0 if y1 in own else abs(f.axis_vx(y1))
+        v0 = 0.0 if y0 in own else abs(f.axis_velocity(y0)[0])
+        v1 = 0.0 if y1 in own else abs(f.axis_velocity(y1)[0])
         if v0 == 0.0 or ratio == 0.0:
             ratio = 0.0
         elif v1 == 0.0:
@@ -268,8 +268,7 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
             pass
         f = sys.field(side)
         if f.discriminant >= 0.0:
-            (_, a12), (_, a22) = f.A.tolist()
-            b1, b2 = f.b.tolist()
+            _, a12, _, a22, b1, b2 = f.entries
             root = math.sqrt(f.discriminant)
             # the invariant line along one eigenvector is w.z + w.b / lam = 0
             # for the left eigenvector w = (lam - a22, a12) of the other root
@@ -306,7 +305,7 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
         for (y0, d0), (y1, d1) in zip(vals, vals[1:]):
             if min(d0, d1) <= 0.0 <= max(d0, d1):
                 try:
-                    heights.append(brentq(D, y0, y1, xtol=1e-15, rtol=8.9e-16))
+                    heights.append(brentq(D, y0, y1, xtol=1e-15))
                 except _NO_ARC:
                     pass
     out: list[float] = []  # heights closer than the closure tolerance name one lap
@@ -438,15 +437,15 @@ def _standard_records(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
     """One representative per admissible linear center (a continuum exists)."""
     out = []
     for side in ("left", "right"):
-        info = equilibrium_info(sys.field(side), side)
+        f = sys.field(side)
+        info = equilibrium_info(f, side)
         if info.kind == "center" and info.placement == "admissible":
-            A = np.asarray(sys.field(side).A, dtype=float)
-            omega = math.sqrt(float(np.linalg.det(A)))
+            omega = math.sqrt(f.det)
             period = 2.0 * math.pi / omega
             cx, cy = info.location
             # from (cx + d, cy) the orbit swings d * hypot(1, a11 / omega) in
             # x about cx: half the center's distance keeps it off the line
-            z0 = (cx + 0.5 * cx / math.hypot(1.0, float(A[0, 0]) / omega), cy)
+            z0 = (cx + 0.5 * cx / math.hypot(1.0, f.entries[0] / omega), cy)
             seg = FlowSegment(side=side, start=z0, end=z0, duration=period)
             orbit = Orbit(
                 segments=(seg,),
@@ -591,7 +590,7 @@ def solve_eta_c(gamma1: float) -> float:
             prev = None
             continue
         if prev is not None and prev[1] * val < 0.0:
-            return brentq(g, prev[0], eta, xtol=1e-12, rtol=8.9e-16)
+            return brentq(g, prev[0], eta, xtol=1e-12)
         if val == 0.0:
             return eta
         prev = (eta, val)

@@ -3,7 +3,8 @@
 A step-for-step port of the C routine behind ``scipy.optimize.brentq``: the
 same secant / inverse-quadratic / bisection rule, the same tolerance
 ``delta = (xtol + rtol*|x|)/2`` and the same iteration cap, so it visits the
-same iterates and returns the same float.
+same iterates and returns the same float.  The relative tolerance is fixed
+at ``rtol = 8.9e-16``; callers choose only ``xtol``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from .errors import RootNotBracketed, RootNotConverged
 
 _MAXITER = 100
+_RTOL = 8.9e-16
 
 
 def _value(f, x: float) -> float:
@@ -22,7 +24,7 @@ def _value(f, x: float) -> float:
     return fx
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """Root of f in [a, b], where f(a) and f(b) have opposite signs.
 
     Raises RootNotBracketed when they do not or when f returns NaN, and
@@ -46,7 +48,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

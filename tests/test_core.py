@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filippov.acceptance import _random_system
 from filippov.core import (
     AffineField,
     FilippovSystem,
@@ -222,6 +223,22 @@ def test_sigma_decomposition_identical_fields_all_crossing():
     assert all(iv.label is RegionLabel.CROSSING for iv in dec.intervals)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e10, 1e16, 1e20, 1e300])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sigma_decomposition_labels_far_half_lines_by_an_interior_probe(scale, sign):
+    # tangencies at y = sign * scale and 1.5 * sign * scale: from about 1e16
+    # on, a unit step off the outer one rounds back onto it
+    rot = [[0.0, 1.0], [-1.0, 0.0]]
+    right = AffineField(rot, [-sign * scale, 1.0])
+    left = AffineField(rot, [-1.5 * sign * scale, 1.0])
+    dec = sigma_decomposition(FilippovSystem(left=left, right=right))
+    assert [iv.label for iv in dec.intervals] == [
+        RegionLabel.CROSSING,
+        RegionLabel.REPULSIVE_SLIDING if sign > 0 else RegionLabel.ATTRACTIVE_SLIDING,
+        RegionLabel.CROSSING,
+    ]
+
+
 def test_sigma_intervals_cover_axis_in_order():
     sys = _helper_scenario_system(0.3, -2.0)
     dec = sigma_decomposition(sys)
@@ -399,3 +416,19 @@ def test_sliding_singular_point_limit():
     # N(y) = 2y*y - y*2y = 0 identically; Dn = y. Limit of N'/Dn' = 0.
     val = sliding_field(sys, 0.0)
     assert np.isfinite(val)
+
+
+def test_axis_velocity_is_the_field_velocity_on_the_axis():
+    rng = np.random.default_rng(20260823)
+    for _ in range(200):
+        sys = _random_system(rng)
+        heights = [0.0] + [tp.y for tp in tangency_points(sys)]
+        heights += [s * h for h in (1.0, 1e3, 1e150, 1e300) for s in (1.0, -1.0)]
+        for f in (sys.left, sys.right, sys.left.negated(), sys.right.negated()):
+            assert f.entries == tuple(float(v) for v in (*f.A.ravel(), *f.b))
+            assert f.det == float(f.A[0, 0] * f.A[1, 1] - f.A[0, 1] * f.A[1, 0])
+            assert f.trace == float(f.A[0, 0] + f.A[1, 1])
+            for y in heights:
+                with np.errstate(over="ignore"):
+                    want = tuple(float(v) for v in f.velocity((0.0, y)))
+                assert f.axis_velocity(y) == want

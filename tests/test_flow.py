@@ -385,7 +385,7 @@ def test_first_return_matches_matrix_exponential(kind, lam, mu, basis, eq, y0):
     # expm evaluates triangular input by divided differences of the diagonal,
     # which cancel when its entries nearly coincide: not an oracle there
     assume(f.A[1, 0] != 0.0)
-    vx0 = f.axis_vx(y0)
+    vx0 = f.axis_velocity(y0)[0]
     assume(abs(vx0) > 1e-3)
     side = "right" if vx0 > 0.0 else "left"
     try:

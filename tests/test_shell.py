@@ -358,8 +358,10 @@ def test_cli_sweep_crosses_transition(capsys):
     assert [r[4] for r in rows] == [""] * 4
 
 
-def test_cli_sweep_bad_param_exit2(capsys):
-    args = ["sweep", "example1", "--param", "nope", "--range", "0:1:2"]
+@pytest.mark.parametrize("param", ["nope", "A_plus.-1.0", "b_minus.-2"])
+def test_cli_sweep_bad_param_exit2(capsys, param):
+    # a negative index would silently sweep another entry
+    args = ["sweep", "example1", "--param", param, "--range", "0:1:2"]
     assert main(args) == 2
     assert "sweep parameter" in capsys.readouterr().err
 
