@@ -22,10 +22,11 @@ from .core import (
     sliding_field,
     sliding_intervals,
 )
-from .errors import DegenerateField, DegenerateTangency, FilippovError
+from .errors import DegenerateField, DegenerateTangency, FilippovError, SpecFileError
 from .flow import first_return_to_axis
 from .halfmaps import P_L_inv, P_R, derivatives, displacement, make_context, solve_t_hats, zeros_of_D
 from .periodic import coexistence, scenario_example1, scenario_example2, solve_eta_c, solve_rho_c
+from .report import DEFAULT_SEED
 from .specfile import bundled_examples
 
 __all__ = ["CheckResult", "run_acceptance", "ALL_CHECKS", "WINDOW_OFFSETS", "default_seed"]
@@ -44,7 +45,14 @@ class CheckResult:
 
 
 def default_seed() -> int:
-    return int(os.environ.get("FLP_SEED", "20260823"))
+    """FLP_SEED when it is set, else the report's default seed."""
+    text = os.environ.get("FLP_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecFileError(f"FLP_SEED wants an integer, got {text!r}") from None
 
 
 def _random_system(rng) -> FilippovSystem:
@@ -395,6 +403,8 @@ ALL_CHECKS = (
 def run_acceptance(
     only: Optional[list[int]] = None, seed: Optional[int] = None
 ) -> list[CheckResult]:
+    if seed is None:
+        seed = default_seed()  # a bad FLP_SEED fails before any check runs
     results = []
     for index, name, fn in ALL_CHECKS:
         if only and index not in only:

@@ -26,7 +26,6 @@ from .core import (
     SideMap,
     TransformRecord,
     equilibrium_info,
-    identity_record,
 )
 from .errors import (
     ConditionViolated,
@@ -129,20 +128,6 @@ def check_premises(sys: FilippovSystem) -> PremiseReport:
     )
 
 
-def _conjugate(sys: FilippovSystem, T: np.ndarray) -> FilippovSystem:
-    """Coordinate change z_new = T z_old for a half-plane preserving T."""
-    Ti = np.linalg.inv(T)
-    return FilippovSystem(
-        left=AffineField(T @ sys.left.A @ Ti, T @ sys.left.b),
-        right=AffineField(T @ sys.right.A @ Ti, T @ sys.right.b),
-    )
-
-
-def _global_map_record(P: np.ndarray, q, mirror: bool, step: str) -> TransformRecord:
-    smap = SideMap(P, q)
-    return TransformRecord(map_left=smap, map_right=smap, mirror=mirror, steps=(step,))
-
-
 def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]:
     """Reduce to the canonical family; the record carries the full chain.
 
@@ -163,26 +148,30 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
     side = "right" if report.admissible_focus_side in ("right", "both") else "left"
 
     work = sys
-    rec = identity_record()
+    # Every step maps both halves alike, so the chain is one map
+    # z_new = P z_old + q, composed as P, q = S P, S q + s; adding s even
+    # where it is zero turns -0.0 into 0.0.
+    P, q, zero = np.eye(2), np.zeros(2), np.zeros(2)
+    steps = ["identity"]
+    time_reversed = mirror = False
 
     if work.field(side).entries[1] < 0.0:
         work = work.time_reversed()
-        rec = rec.then(
-            TransformRecord(
-                map_left=SideMap(np.eye(2), np.zeros(2)),
-                map_right=SideMap(np.eye(2), np.zeros(2)),
-                time_reversed=True,
-                steps=("time-reversal",),
-            )
-        )
+        time_reversed = True
+        steps.append("time-reversal")
     if side == "left":
-        K = np.diag([-1.0, 1.0])
-        work = work.mirrored()
-        rec = rec.then(_global_map_record(K, np.zeros(2), True, "mirror"))
-        if work.right.entries[1] < 0.0:
-            J = np.diag([1.0, -1.0])
-            work = _conjugate(work, J)
-            rec = rec.then(_global_map_record(J, np.zeros(2), False, "y-flip"))
+        # The mirror x -> -x negates the left field's upper-right entry, which
+        # is positive by now, so the y-flip always follows: together they are
+        # z -> -z with the halves swapped, which keeps each matrix and negates
+        # each offset.
+        work = FilippovSystem(
+            left=AffineField(work.right.A, -work.right.b),
+            right=AffineField(work.left.A, -work.left.b),
+        )
+        for S in (np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])):
+            P, q = S @ P, S @ q + zero
+        mirror = True
+        steps += ["mirror", "y-flip"]
 
     _, a12, _, a22, b1, _ = work.right.entries
     if a12 <= 0.0:  # focus premise guarantees a12 != 0; sign fixed above
@@ -199,7 +188,8 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         return AffineField(Minv @ f.A @ M, Minv @ (f.A @ k + f.b))
 
     work = FilippovSystem(left=through_M(work.left), right=through_M(work.right))
-    rec = rec.then(_global_map_record(Minv, -(Minv @ k), False, "right-similarity"))
+    P, q = Minv @ P, Minv @ q - Minv @ k
+    steps.append("right-similarity")
 
     a12_prod = work.left.entries[1]  # equals a12 * (left upper-right entry)
     delta = int(np.sign(a12_prod))
@@ -211,15 +201,9 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         left=AffineField(u * work.left.A, u * work.left.b),
         right=AffineField(work.right.A / s_right, work.right.b / s_right),
     )
-    rec = rec.then(
-        TransformRecord(
-            map_left=SideMap(np.eye(2), np.zeros(2)),
-            map_right=SideMap(np.eye(2), np.zeros(2)),
-            time_left=s_left,
-            time_right=s_right,
-            steps=("zone-time-rescale",),
-        )
-    )
+    # time factors are kept per original half, which a mirror has swapped
+    time_left, time_right = (s_right, s_left) if mirror else (s_left, s_right)
+    steps.append("zone-time-rescale")
 
     disc_scale = 1.0 + max(abs(a) for a in sys.right.entries[:4]) ** 2
     if abs(disc0) <= 1e-13 * disc_scale:
@@ -236,15 +220,9 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
             Dw @ work.right.A @ np.linalg.inv(Dw) / w, Dw @ work.right.b / w
         ),
     )
-    rec = rec.then(
-        TransformRecord(
-            map_left=SideMap(Dw, np.zeros(2)),
-            map_right=SideMap(Dw, np.zeros(2)),
-            time_left=w,
-            time_right=w,
-            steps=("x-rescale",),
-        )
-    )
+    P, q = Dw @ P, Dw @ q + zero
+    time_left, time_right = time_left * w, time_right * w
+    steps.append("x-rescale")
 
     gamma1, _, gamma2, gamma3, eta, rho = work.left.entries
     params = CanonicalParams(
@@ -258,7 +236,16 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         gamma3=gamma3,
         m=m,
     )
-    return params, rec
+    smap = SideMap(P, q)
+    return params, TransformRecord(
+        map_left=smap,
+        map_right=smap,
+        time_left=time_left,
+        time_right=time_right,
+        mirror=mirror,
+        time_reversed=time_reversed,
+        steps=tuple(steps),
+    )
 
 
 def shear_to_equal_gammas(p: CanonicalParams) -> tuple[CanonicalParams, TransformRecord]:

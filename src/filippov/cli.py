@@ -89,7 +89,7 @@ def cmd_canonical(args) -> int:
     lines.append("canonical parameters:")
     for key, val in _params_obj(params).items():
         lines.append(f"  {key} = {val!r}")
-    lines.append("transform steps: " + (", ".join(rec.steps) or "identity"))
+    lines.append("transform steps: " + ", ".join(rec.steps))
     if rec.time_reversed:
         lines.append("note: the reduction runs original orbits backwards")
     _emit(args, "\n".join(lines) + "\n")

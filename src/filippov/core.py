@@ -228,13 +228,6 @@ class SideMap:
         Pi = np.linalg.inv(self.P)
         return SideMap(Pi, -(Pi @ self.q))
 
-    def then(self, other: "SideMap") -> "SideMap":
-        return SideMap(other.P @ self.P, other.P @ self.q + other.q)
-
-
-def _identity_side_map() -> SideMap:
-    return SideMap(np.eye(2), np.zeros(2))
-
 
 @dataclass(frozen=True, eq=False)
 class TransformRecord:
@@ -272,30 +265,6 @@ class TransformRecord:
 
     def pullback_axis(self, y_new: float) -> float:
         return float(self.map_right.inverse().apply((0.0, y_new))[1])
-
-    def then(self, other: "TransformRecord") -> "TransformRecord":
-        """Composition: first self, then other (in other's original frame)."""
-        after_left = "right" if self.mirror else "left"
-        after_right = "left" if self.mirror else "right"
-        pick = {
-            "left": (other.map_left, other.time_left),
-            "right": (other.map_right, other.time_right),
-        }
-        m2_l, t2_l = pick[after_left]
-        m2_r, t2_r = pick[after_right]
-        return TransformRecord(
-            map_left=self.map_left.then(m2_l),
-            map_right=self.map_right.then(m2_r),
-            time_left=self.time_left * t2_l,
-            time_right=self.time_right * t2_r,
-            mirror=self.mirror != other.mirror,
-            time_reversed=self.time_reversed != other.time_reversed,
-            steps=self.steps + other.steps,
-        )
-
-
-def identity_record() -> TransformRecord:
-    return TransformRecord(_identity_side_map(), _identity_side_map(), steps=("identity",))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -69,21 +70,32 @@ class SystemSpecFile:
         return normalize_to_y_axis(self.raw())[0]
 
 
-def _matrix(value, key: str) -> tuple[tuple[float, float], tuple[float, float]]:
+def _number(value, what: str) -> float:
+    # JSON numbers only: a bool is an int to Python, and float() reads strings
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecFileError(f"{what} must be a number, got {value!r}")
     try:
-        rows = [[float(x) for x in row] for row in value]
-    except (TypeError, ValueError):
-        raise SpecFileError(f"{key} must be a 2x2 array of numbers")
+        return float(value)
+    except OverflowError:
+        raise SpecFileError(f"{what} is an integer too large for a float") from None
+
+
+def _array(value, what: str):
+    # a string is iterable too, one character at a time
+    if not isinstance(value, (list, tuple)):
+        raise SpecFileError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _matrix(value, key: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    rows = [[_number(x, f"{key} entry") for x in _array(row, key)] for row in _array(value, key)]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise SpecFileError(f"{key} must be a 2x2 array, got shape {np.shape(value)}")
+        raise SpecFileError(f"{key} must be a 2x2 array, got rows of {[len(r) for r in rows]}")
     return (tuple(rows[0]), tuple(rows[1]))
 
 
 def _vector(value, key: str) -> tuple[float, float]:
-    try:
-        vec = [float(x) for x in value]
-    except (TypeError, ValueError):
-        raise SpecFileError(f"{key} must be a 2-array of numbers")
+    vec = [_number(x, f"{key} entry") for x in _array(value, key)]
     if len(vec) != 2:
         raise SpecFileError(f"{key} must have exactly 2 entries, got {len(vec)}")
     return (vec[0], vec[1])
@@ -116,10 +128,7 @@ def parse_spec(source: str | bytes | dict) -> SystemSpecFile:
     if "c" in obj:
         fields["c"] = _vector(obj["c"], "c")
     if "d" in obj:
-        try:
-            fields["d"] = float(obj["d"])
-        except (TypeError, ValueError):
-            raise SpecFileError("d must be a number")
+        fields["d"] = _number(obj["d"], "d")
     for key in ("name", "comment"):
         if key in obj:
             if not isinstance(obj[key], str):

@@ -130,9 +130,16 @@ def test_to_canonical_errors():
         to_canonical(FilippovSystem(left=fl, right=fr))
 
 
+# the steps every reduction ends with, after its frame's own
+_CHAIN_TAIL = ("right-similarity", "zone-time-rescale", "x-rescale")
+
+
 def _helper_orbit_correspondence(sys, z0_right, z0_left, n_samples=100):
     """Push orbit samples through the record; compare with the canonical flow."""
     p, rec = to_canonical(sys)
+    # every step of the chain maps both halves alike
+    assert np.array_equal(rec.map_left.P, rec.map_right.P)
+    assert np.array_equal(rec.map_left.q, rec.map_right.q)
     can = p.realize()
     worst = 0.0
     for side, z0 in (("right", z0_right), ("left", z0_left)):
@@ -161,6 +168,7 @@ def test_orbit_correspondence_direct():
     _, rec, worst = _helper_orbit_correspondence(sys, (1.5, 0.3), (-1.0, 0.5))
     assert worst < 1e-8
     assert not rec.mirror and not rec.time_reversed
+    assert rec.steps == ("identity", *_CHAIN_TAIL)
 
 
 def test_orbit_correspondence_mirror():
@@ -169,6 +177,7 @@ def test_orbit_correspondence_mirror():
     _, rec, worst = _helper_orbit_correspondence(sys, (0.8, -0.2), (-0.6, 0.4))
     assert worst < 1e-8
     assert rec.mirror and not rec.time_reversed
+    assert rec.steps == ("identity", "mirror", "y-flip", *_CHAIN_TAIL)
 
 
 def test_orbit_correspondence_reversed():
@@ -178,6 +187,7 @@ def test_orbit_correspondence_reversed():
     _, rec, worst = _helper_orbit_correspondence(sys, (1.0, 0.5), (-0.8, -0.3))
     assert worst < 1e-8
     assert rec.time_reversed and not rec.mirror
+    assert rec.steps == ("identity", "time-reversal", *_CHAIN_TAIL)
 
 
 def test_orbit_correspondence_reversed_mirror():
@@ -186,6 +196,7 @@ def test_orbit_correspondence_reversed_mirror():
     _, rec, worst = _helper_orbit_correspondence(sys, (0.5, 0.1), (-0.7, 0.6))
     assert worst < 1e-8
     assert rec.time_reversed and rec.mirror
+    assert rec.steps == ("identity", "time-reversal", "mirror", "y-flip", *_CHAIN_TAIL)
 
 
 def test_record_round_trip_and_orientation():

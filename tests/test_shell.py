@@ -101,6 +101,32 @@ def test_parse_nonfinite_rejected():
         parse_spec(_helper_spec_dict(b_plus=[0.0, math.inf]))
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"b_plus": "01"},
+        {"A_plus": [["0.2", "1"], [-1.01, 0.0]]},
+        {"b_minus": [True, 1.0]},
+        {"d": False},
+    ],
+    ids=["string-vector", "string-entries", "bool-entry", "bool-d"],
+)
+def test_parse_non_number_entries_rejected(overrides):
+    # float() reads strings and bools, and a string iterates by character
+    with pytest.raises(SpecFileError):
+        parse_spec(_helper_spec_dict(**overrides))
+
+
+def test_parse_ragged_matrix_rejected():
+    with pytest.raises(SpecFileError, match="rows of"):
+        parse_spec(_helper_spec_dict(A_plus=[[0.2, 1.0], [-1.01]]))
+
+
+def test_parse_integer_beyond_float_rejected():
+    with pytest.raises(SpecFileError, match="too large"):
+        parse_spec(_helper_spec_dict(d=10**400))  # JSON keeps integer literals exact
+
+
 def test_parse_zero_normal():
     with pytest.raises(ZeroNormal):
         parse_spec(_helper_spec_dict(c=[0.0, 0.0]))
@@ -181,6 +207,31 @@ def test_cli_canonical_example6(capsys):
     assert "alpha = 0.01" in out
 
 
+def test_cli_canonical_reversed_and_mirrored(tmp_path, capsys):
+    # test_canonical's reversed-and-mirrored system: a left focus at
+    # (-1.1, 0.3) turning clockwise, and a saddle on the right
+    A_minus = [[0.2, -1.5], [2.5, -0.1]]
+    b_minus = [-(a * -1.1 + b * 0.3) for a, b in A_minus]
+    path = tmp_path / "reversed_mirror.json"
+    path.write_text(
+        json.dumps(
+            _helper_spec_dict(
+                A_plus=[[1.0, 0.5], [0.3, -1.0]],
+                b_plus=[1.0, 1.0],
+                A_minus=A_minus,
+                b_minus=b_minus,
+            )
+        )
+    )
+    assert main(["canonical", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "transform steps: identity, time-reversal, mirror, y-flip, "
+        "right-similarity, zone-time-rescale, x-rescale"
+    ) in lines
+    assert "note: the reduction runs original orbits backwards" in lines
+
+
 def test_cli_applied_specs_classify(capsys):
     assert main(["classify", "buck_converter"]) == 0
     assert main(["classify", "dry_friction"]) == 0
@@ -209,6 +260,13 @@ def test_cli_periodic_seed_env(monkeypatch, capsys):
     assert main(["periodic", "example1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [["periodic", "example1"], ["verify-paper", "--only", "2"]])
+def test_cli_bad_seed_env_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setenv("FLP_SEED", "abc")
+    assert main(argv) == 2
+    assert "FLP_SEED wants an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_cli_dfunc_example6_one_sign_change(capsys):
