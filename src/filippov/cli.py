@@ -167,7 +167,7 @@ def cmd_dfunc(args) -> int:
 
     def arc(side: str, y: float) -> float:
         try:
-            return _arc(fsys, side, y) if y >= edge else math.nan
+            return _arc(fsys, side, y)[0] if y >= edge else math.nan
         except _NO_ARC:
             return math.nan
 

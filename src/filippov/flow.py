@@ -331,6 +331,12 @@ def _walk_to_axis(
         # x(t) - x_eq = C e^{at} cos(w t - phase); critical times step by pi/w
         phase = math.atan2(a * Q - w * P, a * P + w * Q)
         step = math.pi / w
+        if step <= t_eps:
+            # the ladder below would climb to the time floor in t_eps / step rungs
+            raise DomainError(
+                f"half-turn time {step} is within the {t_eps} time floor: "
+                "the spiral turns too fast to resolve"
+            )
         t_k = (phase + math.pi / 2.0) / w
         while t_k <= t_eps:
             t_k += step

@@ -234,13 +234,67 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
     )
 
 
-def _arc(sys: FilippovSystem, side: str, y: float) -> float:
-    """Landing height of the arc from (0, y) into `side`: forward in time
-    where both fields point into that side, backward where both point out."""
+def _arc(sys: FilippovSystem, side: str, y: float) -> tuple[float, float]:
+    """Landing height u of the arc from (0, y) into `side`, forward in time
+    where both fields point into that side and backward where both point
+    out, and its slope du/dy = f_x(0, y) / f_x(0, u) e^(tr(f) t) for the
+    field f actually run.  A landing on f's own tangency or an exponential
+    beyond float range makes the slope non-finite, never an error."""
     f = sys.field(side)
     if (sys.vx_right(y) + sys.vx_left(y) > 0.0) != (side == "right"):
         f = f.negated()
-    return float(first_return_to_axis(f, (0.0, y), side)[1][1])
+    t, z = first_return_to_axis(f, (0.0, y), side)
+    u = float(z[1])
+    try:
+        slope = f.axis_velocity(y)[0] / f.axis_velocity(u)[0] * math.exp(f.trace * t)
+    except (ZeroDivisionError, OverflowError):
+        slope = math.inf
+    return u, slope
+
+
+def _changes_sign(a: float, b: float) -> bool:
+    return min(a, b) <= 0.0 <= max(a, b)
+
+
+def _lattice_values(D, grid: list[float], mid: int, probe) -> list[tuple[float, float]]:
+    """(y, D(y)) at the points of `grid` that can end a bracket of a zero.
+
+    D(y) gives (D, D') or raises one of `_NO_ARC`; `probe` is its value at
+    grid[mid].  From the first, middle and last points, a gap between
+    evaluated points is halved at its middle lattice point while D or D'
+    changes sign across it, or D' is not finite at an end, down to adjacent
+    points.  A gap across which D and D' keep their signs is not entered: a
+    pair of zeros inside it would need D' to change sign twice.  A point
+    whose arc does not return has every lattice point of its gaps
+    evaluated, as the full lattice would.  No point is evaluated twice.
+    """
+    vals = {mid: probe}
+
+    def at(k: int) -> Optional[tuple[float, float]]:
+        if k not in vals:
+            try:
+                vals[k] = D(grid[k])
+            except _NO_ARC:
+                vals[k] = None
+        return vals[k]
+
+    gaps = [(0, mid), (mid, len(grid) - 1)]
+    while gaps:
+        i, j = gaps.pop()
+        p, q = at(i), at(j)
+        if j - i < 2:
+            continue
+        if p is None or q is None:
+            for k in range(i + 1, j):
+                at(k)
+        elif (
+            _changes_sign(p[0], q[0])
+            or not (math.isfinite(p[1]) and math.isfinite(q[1]))
+            or _changes_sign(p[1], q[1])
+        ):
+            m = (i + j) // 2
+            gaps += [(i, m), (m, j)]
+    return [(grid[k], v[0]) for k, v in sorted(vals.items()) if v is not None]
 
 
 def _scan_heights(sys: FilippovSystem) -> list[float]:
@@ -251,10 +305,13 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
     are.  D's domain is cut at the half-line's end, at each arc's preimage
     of the lower crossing set's end and at the axis heights of real
     eigenvector lines through an equilibrium; a midpoint probe decides each
-    piece, a geometric grid from both ends scans it, and Brent's method
-    polishes each bracketed zero to 1e-15: a lap multiplies the error of its
-    start height by the multiplier.  The cuts are proposed too: a cycle can
-    graze a tangency or sit closer to an invariant line than floats resolve.
+    piece.  A fixed geometric lattice, dense toward the piece's finite ends,
+    holds the possible bracket ends, and `_lattice_values` evaluates D only
+    at those the sign changes of D and of its slope D' call for.  Brent's
+    method polishes each sign change of D between consecutive evaluated
+    points to 1e-15: a lap multiplies the error of its start height by the
+    multiplier.  The cuts are proposed too: a cycle can graze a tangency or
+    sit closer to an invariant line than floats resolve.
     """
     launch, landing = crossing_sets(sys)
     if launch is None:
@@ -263,7 +320,7 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
     cuts = {edge}
     for side in ("right", "left"):
         try:
-            cuts.add(_arc(sys, side, lo))
+            cuts.add(_arc(sys, side, lo)[0])
         except _NO_ARC:
             pass
         f = sys.field(side)
@@ -276,8 +333,9 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
                 cuts.add(-((lam - a22) * b1 + a12 * b2) / (lam * a12))
     cuts = sorted(c for c in cuts if edge <= c < math.inf)
 
-    def D(y: float) -> float:
-        return _arc(sys, "left", y) - _arc(sys, "right", y)
+    def D(y: float) -> tuple[float, float]:
+        (u_l, s_l), (u_r, s_r) = _arc(sys, "left", y), _arc(sys, "right", y)
+        return u_l - u_r, s_l - s_r
 
     heights = list(cuts)
     for a, b in zip(cuts, cuts[1:] + [math.inf]):
@@ -287,25 +345,20 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
         else:
             offsets = [(b - a) * 10.0 ** (-k / 2.0) for k in range(16, 0, -1)]
             grid = [a + o for o in offsets] + [0.5 * (a + b)] + [b - o for o in reversed(offsets)]
-        mid = grid[16]
+        mid = 16
         try:
             # an arc's landing crosses the lower set's end only at a cut, so
             # the middle point tells whether both land in that set on the piece
-            u_r, u_l = _arc(sys, "right", mid), _arc(sys, "left", mid)
+            (u_r, s_r), (u_l, s_l) = _arc(sys, "right", grid[mid]), _arc(sys, "left", grid[mid])
         except _NO_ARC:
             continue
         if max(u_r, u_l) > lo:
             continue
-        vals = []
-        for y in grid:
-            try:
-                vals.append((y, u_l - u_r if y == mid else D(y)))
-            except _NO_ARC:
-                pass
+        vals = _lattice_values(D, grid, mid, (u_l - u_r, s_l - s_r))
         for (y0, d0), (y1, d1) in zip(vals, vals[1:]):
-            if min(d0, d1) <= 0.0 <= max(d0, d1):
+            if _changes_sign(d0, d1):
                 try:
-                    heights.append(brentq(D, y0, y1, xtol=1e-15))
+                    heights.append(brentq(lambda y: D(y)[0], y0, y1, xtol=1e-15))
                 except _NO_ARC:
                     pass
     out: list[float] = []  # heights closer than the closure tolerance name one lap

@@ -287,6 +287,17 @@ def test_first_return_just_past_an_invisible_tangency_raises_domain_error():
         first_return_to_axis(sys.left, (0.0, -0.06785373802921237), "left")
 
 
+def test_first_return_of_a_spiral_too_fast_for_the_time_floor_raises_domain_error():
+    # a half turn of pi / w = 3e-19 lies below the walk's 1e-12 time floor;
+    # climbing the pi / w ladder to that floor took 3e6 rungs here and 1e88
+    # for a spiral of w = 1e100, where the census of a time-scaled system
+    # never returned
+    w = 1e19
+    field = AffineField([[0.0, w], [-w, 0.0]], [0.0, w])
+    with pytest.raises(DomainError, match="time floor"):
+        first_return_to_axis(field, (0.0, 1.0), "right")
+
+
 def _helper_rotation_invariant(field, u):
     # quadratic form conserved by the rotational part of the flow
     a = field.trace / 2.0

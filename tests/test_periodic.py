@@ -17,11 +17,12 @@ import pytest
 
 from filippov.acceptance import _random_addcond_params, _random_system
 from filippov.canonical import check_premises, to_canonical
-from filippov import flow, periodic
+from filippov import cli, flow, periodic
 from filippov.core import (
     AffineField,
     FilippovSystem,
     RawSystem,
+    crossing_sets,
     equilibrium_info,
     normalize_to_y_axis,
     tangency_points,
@@ -35,7 +36,7 @@ from filippov.errors import (
     NoAdmissibleFocus,
     TheoremViolation,
 )
-from filippov.flow import filippov_orbit, first_return_to_axis, linear_flow
+from filippov.flow import _CLOSURE_TOL, filippov_orbit, first_return_to_axis, linear_flow
 from filippov.halfmaps import derivatives, make_context, zeros_of_D
 from filippov.periodic import (
     ConfigurationLabel,
@@ -50,6 +51,7 @@ from filippov.periodic import (
     solve_eta_c,
     solve_rho_c,
 )
+from filippov.roots import brentq
 from filippov.specfile import BUNDLED_NAMES, resolve_spec
 
 BETA_GRAZE = 0.02711373861726224
@@ -672,8 +674,8 @@ def test_scan_finds_the_cycle_next_to_the_lap_map_edge(draw, multiplier):
 @pytest.mark.parametrize(
     "draw_system, n, bound",
     [
-        (_random_system, 300, 8_000),
-        (lambda rng: _random_addcond_params(rng).realize(), 200, 20_000),
+        (_random_system, 300, 2_400),
+        (lambda rng: _random_addcond_params(rng).realize(), 200, 8_200),
     ],
     ids=["check-1", "canonical"],
 )
@@ -681,9 +683,29 @@ def test_crossing_search_first_returns_stay_bounded(monkeypatch, draw_system, n,
     # deterministic work guard: axis returns spent by find_crossing_orbits on
     # the first 300 check-1 draws and the first 200 canonical draws at seed
     # 20260823.  On check 1, shooting the lap map from its lower domain edge
-    # took 20,409, and scanning D over its closed-form domain pieces takes
-    # 2,820; the canonical draws take 15,072.  Probing each piece at the
-    # grid's own middle point saves the 2 returns its D value would repeat
+    # took 20,409, and evaluating D at every point of the scan's lattice took
+    # 2,820; the canonical draws took 15,072.  Evaluating only the lattice
+    # points where D or D' changes sign takes 1,562 and 5,462
+    calls = _helper_count_first_returns(monkeypatch)
+    rng = np.random.default_rng(20260823)
+    for _ in range(n):
+        find_crossing_orbits(draw_system(rng))
+    assert 0 < calls() <= bound
+
+
+def test_sweep_crossing_search_first_returns_stay_bounded(monkeypatch):
+    # the 60 points of `flp sweep example7 --param b_minus.1
+    # --range=-0.037:-0.034:60`: 5,064 axis returns while the scan evaluated
+    # its whole lattice, 2,186 now
+    calls = _helper_count_first_returns(monkeypatch)
+    spec = resolve_spec("example7")
+    for value in cli._parse_range("-0.037:-0.034:60"):
+        find_crossing_orbits(cli._set_param(spec, "b_minus.1", float(value)).normalized())
+    assert 0 < calls() <= 3_300
+
+
+def _helper_count_first_returns(monkeypatch):
+    """Count the axis returns `periodic` asks for from here on."""
     calls = 0
     inner = periodic.first_return_to_axis
 
@@ -693,10 +715,155 @@ def test_crossing_search_first_returns_stay_bounded(monkeypatch, draw_system, n,
         return inner(*args)
 
     monkeypatch.setattr(periodic, "first_return_to_axis", counted)
+    return lambda: calls
+
+
+def _helper_landing(sys, side, y):
+    return periodic._arc(sys, side, y)[0]
+
+
+def _helper_dense_scan_heights(sys):
+    """`_scan_heights` as it was when it evaluated D at every lattice point
+    of every kept piece; `_arc` then returned the landing alone."""
+    launch, landing = crossing_sets(sys)
+    if launch is None:
+        return []
+    edge, lo = (launch[0], landing[1]) if launch[1] == math.inf else (landing[0], launch[1])
+    cuts = {edge}
+    for side in ("right", "left"):
+        try:
+            cuts.add(_helper_landing(sys, side, lo))
+        except periodic._NO_ARC:
+            pass
+        f = sys.field(side)
+        if f.discriminant >= 0.0:
+            _, a12, _, a22, b1, b2 = f.entries
+            root = math.sqrt(f.discriminant)
+            # the invariant line along one eigenvector is w.z + w.b / lam = 0
+            # for the left eigenvector w = (lam - a22, a12) of the other root
+            for lam in {(f.trace + root) / 2.0, (f.trace - root) / 2.0} - {0.0}:
+                cuts.add(-((lam - a22) * b1 + a12 * b2) / (lam * a12))
+    cuts = sorted(c for c in cuts if edge <= c < math.inf)
+
+    def D(y: float) -> float:
+        return _helper_landing(sys, "left", y) - _helper_landing(sys, "right", y)
+
+    heights = list(cuts)
+    for a, b in zip(cuts, cuts[1:] + [math.inf]):
+        if b == math.inf:
+            end = a + max(1.0, abs(a))
+            grid = [a + (end - a) * 10.0 ** (k / 2.0) for k in range(-16, 15)]
+        else:
+            offsets = [(b - a) * 10.0 ** (-k / 2.0) for k in range(16, 0, -1)]
+            grid = [a + o for o in offsets] + [0.5 * (a + b)] + [b - o for o in reversed(offsets)]
+        mid = grid[16]
+        try:
+            # an arc's landing crosses the lower set's end only at a cut, so
+            # the middle point tells whether both land in that set on the piece
+            u_r, u_l = _helper_landing(sys, "right", mid), _helper_landing(sys, "left", mid)
+        except periodic._NO_ARC:
+            continue
+        if max(u_r, u_l) > lo:
+            continue
+        vals = []
+        for y in grid:
+            try:
+                vals.append((y, u_l - u_r if y == mid else D(y)))
+            except periodic._NO_ARC:
+                pass
+        for (y0, d0), (y1, d1) in zip(vals, vals[1:]):
+            if min(d0, d1) <= 0.0 <= max(d0, d1):
+                try:
+                    heights.append(brentq(D, y0, y1, xtol=1e-15))
+                except periodic._NO_ARC:
+                    pass
+    out: list[float] = []  # heights closer than the closure tolerance name one lap
+    for y in sorted(heights):
+        if not out or y - out[-1] > _CLOSURE_TOL * max(1.0, abs(y)):
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize(
+    "draw_system, n",
+    [(_random_system, 300), (lambda rng: _random_addcond_params(rng).realize(), 100)],
+    ids=["check-1", "canonical"],
+)
+def test_scan_matches_the_dense_scan(draw_system, n):
+    # reference oracle: skipping the lattice gaps across which neither D nor
+    # D' changes sign leaves Brent the same brackets, so the same floats
     rng = np.random.default_rng(20260823)
-    for _ in range(n):
-        find_crossing_orbits(draw_system(rng))
-    assert 0 < calls <= bound
+    found = 0
+    for draw in range(n):
+        sys = draw_system(rng)
+        for work in (sys, sys.time_reversed()):
+            want = _helper_dense_scan_heights(work)
+            assert periodic._scan_heights(work) == want, draw
+            found += len(want)
+    assert found
+
+
+@pytest.mark.parametrize("case", ["example7", 40, 226, 307])
+def test_arc_slope_matches_a_central_difference(case):
+    # at each crossing cycle's start height one arc runs forward in time and
+    # the other backward; both slopes are Liouville factors of the field run
+    if case == "example7":
+        sys = resolve_spec(case).normalized()
+    else:
+        sys = _helper_random_draw(20260823, case)
+    heights = [r.orbit.segments[0].start[1] for r in find_crossing_orbits(sys)]
+    assert heights
+    for y in heights:
+        directions = set()
+        for side in ("right", "left"):
+            h = 1e-6 * max(1.0, abs(y))
+            want = (_helper_landing(sys, side, y + h) - _helper_landing(sys, side, y - h)) / (2 * h)
+            assert periodic._arc(sys, side, y)[1] == pytest.approx(want, rel=1e-5), (side, y)
+            directions.add((sys.vx_right(y) + sys.vx_left(y) > 0.0) == (side == "right"))
+        assert directions == {True, False}
+
+
+def test_arc_slope_beyond_float_range_is_not_finite():
+    # an unstable node, eigenvalue 300 twice, equilibrium (-1, 0): from
+    # (0, -600 / 710.3) it returns at t ~ 710.3 / 600, so e^(tr t) ~ e^710.3
+    # leaves float range, but the landing, ~ -1.47e154, does not
+    f = AffineField(np.array([[300.0, 1.0], [0.0, 300.0]]), np.array([300.0, 0.0]))
+    sys = FilippovSystem(left=f, right=f)
+    y = -600.0 / 710.3
+    t, z = first_return_to_axis(f, (0.0, y), "right")
+    assert f.trace * t > math.log(np.finfo(float).max)
+    u, slope = periodic._arc(sys, "right", y)
+    assert u == float(z[1]) and math.isfinite(u)
+    assert not math.isfinite(slope)
+
+
+def test_scan_refines_a_gap_with_a_non_finite_slope(monkeypatch):
+    # two foci about the origin, D(y) = y (e^(pi/10) - e^pi) up to rounding:
+    # D and D' keep their signs, so the scan evaluates the first, middle and
+    # last of the 31 lattice points 10^(k/2), k = -16..14, of its one piece.
+    # A non-finite slope at the last point sends the halving down to it
+    right = AffineField(np.array([[1.0, 1.0], [-1.0, 1.0]]), np.zeros(2))
+    left = AffineField(np.array([[-0.1, 1.0], [-1.0, -0.1]]), np.zeros(2))
+    sys = FilippovSystem(left=left, right=right)
+    lattice = [10.0 ** (k / 2.0) for k in range(-16, 15)]
+    inner = periodic._arc
+
+    def evaluated(flagged):
+        ys = []
+
+        def arc(sys, side, y):
+            u, slope = inner(sys, side, y)
+            if side == "right" and y in lattice:
+                ys.append(y)
+            return u, math.inf if y == flagged else slope
+
+        monkeypatch.setattr(periodic, "_arc", arc)
+        assert periodic._scan_heights(sys) == [0.0]
+        assert len(ys) == len(set(ys))
+        return sorted(lattice.index(y) for y in ys)
+
+    assert evaluated(None) == [0, 16, 30]
+    assert evaluated(lattice[30]) == [0, 16, 23, 26, 28, 29, 30]
 
 
 @pytest.mark.parametrize("draw", [0, 58, 190, 251, 391, 423, 496, 593])
