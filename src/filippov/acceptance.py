@@ -44,15 +44,23 @@ class CheckResult:
     elapsed: float
 
 
+def _checked_seed(seed: int, source: str) -> int:
+    """`seed` when numpy's generators accept it; a SpecFileError naming `source` if not."""
+    if seed < 0:
+        raise SpecFileError(f"{source} wants a non-negative integer, got {seed}")
+    return seed
+
+
 def default_seed() -> int:
     """FLP_SEED when it is set, else the report's default seed."""
     text = os.environ.get("FLP_SEED")
     if text is None:
         return DEFAULT_SEED
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise SpecFileError(f"FLP_SEED wants an integer, got {text!r}") from None
+    return _checked_seed(seed, "FLP_SEED")
 
 
 def _random_system(rng) -> FilippovSystem:
@@ -403,8 +411,8 @@ ALL_CHECKS = (
 def run_acceptance(
     only: Optional[list[int]] = None, seed: Optional[int] = None
 ) -> list[CheckResult]:
-    if seed is None:
-        seed = default_seed()  # a bad FLP_SEED fails before any check runs
+    # a bad seed fails before any check runs
+    seed = default_seed() if seed is None else _checked_seed(seed, "seed")
     results = []
     for index, name, fn in ALL_CHECKS:
         if only and index not in only:

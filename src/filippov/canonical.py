@@ -7,9 +7,10 @@ family
     z' = [[2a, 1], [-1-a^2, 0]] z + (0, b)      on x > 0,
     z' = [[g1, d], [g2, g3]] z + (e, r)         on x < 0,
 
-with d in {-1, 0, 1}.  This module performs that reduction with a full
-:class:`TransformRecord`, applies the left-half shear that equalizes g1 and
-g3, and classifies the switching-line pattern by the signs of d and e.
+with d in {-1, 0, 1}.  This module performs that reduction, recording the
+change of coordinates as one affine :class:`TransformRecord` map, gives the
+parameters after the left-half shear that equalizes g1 and g3, and
+classifies the switching-line pattern by the signs of d and e.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .core import (
     AffineField,
     FilippovSystem,
-    SideMap,
     TransformRecord,
     equilibrium_info,
 )
@@ -236,25 +236,19 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         gamma3=gamma3,
         m=m,
     )
-    smap = SideMap(P, q)
     return params, TransformRecord(
-        map_left=smap,
-        map_right=smap,
-        time_left=time_left,
-        time_right=time_right,
-        mirror=mirror,
-        time_reversed=time_reversed,
-        steps=tuple(steps),
+        P, q, time_left, time_right, mirror, time_reversed, tuple(steps)
     )
 
 
-def shear_to_equal_gammas(p: CanonicalParams) -> tuple[CanonicalParams, TransformRecord]:
-    """Left-half shear equalizing the left block's diagonal; right half fixed."""
+def shear_to_equal_gammas(p: CanonicalParams) -> CanonicalParams:
+    """Parameters after the left-half shear (x, y) -> (x, y - kappa x) that
+    equalizes the left block's diagonal; the right half and the axis stay fixed."""
     if p.delta != 1:
         raise DeltaNotOne("shear normalization requires delta = 1")
     kappa = (p.gamma3 - p.gamma1) / 2.0
     g = (p.gamma1 + p.gamma3) / 2.0
-    out = CanonicalParams(
+    return CanonicalParams(
         alpha=p.alpha,
         beta=p.beta,
         delta=1,
@@ -265,13 +259,6 @@ def shear_to_equal_gammas(p: CanonicalParams) -> tuple[CanonicalParams, Transfor
         gamma3=g,
         m=p.m,
     )
-    S_inv = np.array([[1.0, 0.0], [-kappa, 1.0]])
-    rec = TransformRecord(
-        map_left=SideMap(S_inv, np.zeros(2)),
-        map_right=SideMap(np.eye(2), np.zeros(2)),
-        steps=("left-shear",),
-    )
-    return out, rec
 
 
 _CSL_TABLE = {

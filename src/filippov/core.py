@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateField, NotSlidingRegion, VelocityOverflow, ZeroNormal
+from .errors import DegenerateField, NotSlidingRegion, SpecFileError, VelocityOverflow, ZeroNormal
 
 # Absolute scale for "this quantity vanishes" decisions, multiplied by
 # 1 + local field magnitude so labeling is stable under system rescaling.
@@ -81,6 +81,16 @@ class AffineField:
     def velocity(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return self.A @ z + self.b
+
+    @cached_property
+    def axis_root(self) -> Optional[float]:
+        """y = -b1/a12 where the axis x-velocity vanishes; None when a12 = 0
+        or the root is not a finite float."""
+        _, a12, _, _, b1, _ = self.entries
+        if a12 == 0.0:
+            return None
+        y = -b1 / a12
+        return y if math.isfinite(y) else None
 
     def axis_velocity(self, y: float) -> tuple[float, float]:
         """(vx, vy) at the axis point (0, y): affine in y, and all that the
@@ -211,60 +221,37 @@ class SigmaDecomposition:
 
 
 @dataclass(frozen=True, eq=False)
-class SideMap:
-    """Affine change z_new = P z_old + q restricted to one half-plane."""
+class TransformRecord:
+    """One invertible affine change z_new = P z_old + q of both halves, plus time rescales.
+
+    When ``mirror`` is true the original left half lands in the new right half
+    and vice versa.  ``time_left``/``time_right`` are the positive factors s
+    with t_new = s * t_old for orbits of the corresponding ORIGINAL side.  A
+    true ``time_reversed`` means the image system runs the original orbits
+    backwards; the map still carries orbits onto orbits as point sets.
+    """
 
     P: np.ndarray
     q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "P", _as_matrix(self.P))
-        object.__setattr__(self, "q", _as_vector(self.q))
-
-    def apply(self, z) -> np.ndarray:
-        return self.P @ np.asarray(z, dtype=float) + self.q
-
-    def inverse(self) -> "SideMap":
-        Pi = np.linalg.inv(self.P)
-        return SideMap(Pi, -(Pi @ self.q))
-
-
-@dataclass(frozen=True, eq=False)
-class TransformRecord:
-    """Invertible piecewise-affine change of coordinates plus per-side time rescales.
-
-    Maps are keyed by the side of the point in the ORIGINAL coordinates.  When
-    ``mirror`` is true the original left half lands in the new right half and
-    vice versa.  ``time_left``/``time_right`` are the positive factors s with
-    t_new = s * t_old for orbits of the corresponding original side.  A true
-    ``time_reversed`` means the image system runs the original orbits
-    backwards; the maps still carry orbits onto orbits as point sets.
-    """
-
-    map_left: SideMap
-    map_right: SideMap
     time_left: float = 1.0
     time_right: float = 1.0
     mirror: bool = False
     time_reversed: bool = False
     steps: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "P", _as_matrix(self.P))
+        object.__setattr__(self, "q", _as_vector(self.q))
+
     def push(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z[0] < 0.0:
-            return self.map_left.apply(z)
-        return self.map_right.apply(z)
+        return self.P @ np.asarray(z, dtype=float) + self.q
 
     def pullback(self, z_new) -> np.ndarray:
-        z_new = np.asarray(z_new, dtype=float)
-        # Decide which original side this image belongs to.
-        new_side_of_right = "left" if self.mirror else "right"
-        if (z_new[0] >= 0.0) == (new_side_of_right == "right"):
-            return self.map_right.inverse().apply(z_new)
-        return self.map_left.inverse().apply(z_new)
+        Pi = np.linalg.inv(self.P)
+        return Pi @ np.asarray(z_new, dtype=float) - Pi @ self.q
 
     def pullback_axis(self, y_new: float) -> float:
-        return float(self.map_right.inverse().apply((0.0, y_new))[1])
+        return float(self.pullback((0.0, y_new))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +266,6 @@ def normalize_to_y_axis(raw: RawSystem) -> tuple[FilippovSystem, TransformRecord
     coordinate, so the plus field governs x > 0.
     """
     c1, c2 = float(raw.c[0]), float(raw.c[1])
-    if c1 == 0.0 and c2 == 0.0:
-        raise ZeroNormal("switching-line normal c must be nonzero")
     nu = np.array([-raw.d, 0.0])
     if c1 != 0.0:
         B = np.array([[1.0 / c1, -c2 / c1], [0.0, 1.0]])
@@ -289,15 +274,19 @@ def normalize_to_y_axis(raw: RawSystem) -> tuple[FilippovSystem, TransformRecord
     Binv = np.linalg.inv(B)
 
     def convert(f: AffineField) -> AffineField:
-        A_new = Binv @ f.A @ B
-        b_new = Binv @ (f.A @ (B @ nu) + f.b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A_new = Binv @ f.A @ B
+            b_new = Binv @ (f.A @ (B @ nu) + f.b)
+        if not (np.isfinite(A_new).all() and np.isfinite(b_new).all()):
+            raise SpecFileError(
+                f"switching line c = ({c1!r}, {c2!r}), d = {raw.d!r} cannot be moved onto "
+                "the y-axis in floats: the converted fields overflow"
+            )
         return AffineField(A_new, b_new)
 
     sys = FilippovSystem(left=convert(raw.minus), right=convert(raw.plus))
     # z_new = B^{-1} z_old - nu on both halves
-    smap = SideMap(Binv, -nu)
-    rec = TransformRecord(map_left=smap, map_right=smap, steps=("axis-normalization",))
-    return sys, rec
+    return sys, TransformRecord(Binv, -nu, steps=("axis-normalization",))
 
 
 def _vanishes(value: float, scale: float) -> bool:
@@ -473,10 +462,9 @@ def tangency_points(sys: FilippovSystem) -> list[TangencyInfo]:
     out: list[TangencyInfo] = []
     for side in ("left", "right"):
         f = sys.field(side)
-        a12, b1 = f.entries[1], f.entries[4]
-        if a12 == 0.0:
-            continue  # constant x-velocity: either no root or degenerate line
-        y_t = -b1 / a12
+        y_t = f.axis_root
+        if y_t is None:
+            continue  # constant x-velocity, or a root beyond the float range
         speed = math.hypot(*f.axis_velocity(y_t))
         if speed <= VANISH_TOL * (1.0 + speed):
             continue  # the whole field vanishes: boundary equilibrium, not a tangency
@@ -486,13 +474,8 @@ def tangency_points(sys: FilippovSystem) -> list[TangencyInfo]:
 
 
 def axis_breakpoints(sys: FilippovSystem) -> list[float]:
-    """Sorted roots of the two axis x-velocities, repeats kept."""
-    bps = []
-    for f in (sys.left, sys.right):
-        a12, b1 = f.entries[1], f.entries[4]
-        if a12 != 0.0:
-            bps.append(-b1 / a12)
-    return sorted(bps)
+    """Sorted finite roots of the two axis x-velocities, repeats kept."""
+    return sorted(f.axis_root for f in (sys.left, sys.right) if f.axis_root is not None)
 
 
 def crossing_sets(
@@ -502,17 +485,14 @@ def crossing_sets(
 
     Both fields point right on `launch` and left on `landing`.  The two are
     non-empty together exactly when the axis x-velocities have slopes of
-    one sign, and then they are opposite half-lines beyond the two
-    tangencies; otherwise no crossing lap exists and both are None.
+    one sign and finite roots, and then they are opposite half-lines beyond
+    the two tangencies; otherwise no crossing lap exists and both are None.
     """
-    a_r, b_r = sys.right.entries[1], sys.right.entries[4]
-    a_l, b_l = sys.left.entries[1], sys.left.entries[4]
-    if a_r == 0.0 or a_l == 0.0 or (a_r > 0.0) != (a_l > 0.0):
+    t_r, t_l = sys.right.axis_root, sys.left.axis_root
+    a_r = sys.right.entries[1]
+    if t_r is None or t_l is None or (a_r > 0.0) != (sys.left.entries[1] > 0.0):
         return None, None
-    t_r, t_l = -b_r / a_r, -b_l / a_l
     lo, hi = min(t_r, t_l), max(t_r, t_l)
-    if not (-math.inf < lo and hi < math.inf):
-        return None, None
     if a_r > 0.0:
         return (hi, math.inf), (-math.inf, lo)
     return (-math.inf, lo), (hi, math.inf)

@@ -104,7 +104,7 @@ def solve_t_hats(params: CanonicalParams) -> tuple[float, float]:
 
 def make_context(params: CanonicalParams) -> HalfMapContext:
     """Build the half-map scaffolding, shearing first when gamma1 != gamma3."""
-    p = shear_to_equal_gammas(params)[0] if params.gamma1 != params.gamma3 else params
+    p = shear_to_equal_gammas(params) if params.gamma1 != params.gamma3 else params
     t_minus, t_plus = solve_t_hats(p)
     nu = p.nu
     K = nu * (p.rho - p.gamma3 * p.eta) / p.Delta

@@ -97,8 +97,8 @@ def test_to_canonical_idempotent_on_canonical_input():
     for name in ("alpha", "beta", "eta", "rho", "gamma1", "gamma2", "gamma3"):
         assert getattr(p, name) == pytest.approx(getattr(p0, name), abs=1e-12)
     assert p.delta == 1 and p.m == -1
-    np.testing.assert_allclose(rec.map_right.P, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(rec.map_right.q, 0, atol=1e-12)
+    np.testing.assert_allclose(rec.P, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(rec.q, 0, atol=1e-12)
     assert rec.time_left == pytest.approx(1.0)
     assert rec.time_right == pytest.approx(1.0)
     assert not rec.mirror and not rec.time_reversed
@@ -137,9 +137,6 @@ _CHAIN_TAIL = ("right-similarity", "zone-time-rescale", "x-rescale")
 def _helper_orbit_correspondence(sys, z0_right, z0_left, n_samples=100):
     """Push orbit samples through the record; compare with the canonical flow."""
     p, rec = to_canonical(sys)
-    # every step of the chain maps both halves alike
-    assert np.array_equal(rec.map_left.P, rec.map_right.P)
-    assert np.array_equal(rec.map_left.q, rec.map_right.q)
     can = p.realize()
     worst = 0.0
     for side, z0 in (("right", z0_right), ("left", z0_left)):
@@ -197,14 +194,22 @@ def test_orbit_correspondence_reversed_mirror():
     assert worst < 1e-8
     assert rec.time_reversed and rec.mirror
     assert rec.steps == ("identity", "time-reversal", "mirror", "y-flip", *_CHAIN_TAIL)
+    # the mirror sends each original half to the other, and one map serves both
+    for z in ((-0.7, 0.6), (-2.0, -1.5), (0.5, 0.1), (3.0, -2.0)):
+        w = rec.push(z)
+        assert (w[0] > 0.0) == (z[0] < 0.0)
+        np.testing.assert_allclose(rec.pullback(w), z, atol=1e-12)
+    for y in (-2.0, 0.0, 0.75, 3.0):
+        w = rec.push((0.0, y))
+        assert abs(w[0]) < 1e-12
+        assert rec.pullback_axis(w[1]) == pytest.approx(y, abs=1e-12)
 
 
 def test_record_round_trip_and_orientation():
     fr = _helper_focus_field([[1.0, 2.0], [-3.0, 0.5]], (1.2, -0.4))
     sys = FilippovSystem(left=AffineField([[0.5, 1.5], [-1.0, -0.2]], [2.0, 1.0]), right=fr)
     _, rec = to_canonical(sys)
-    assert np.linalg.det(rec.map_left.P) > 0
-    assert np.linalg.det(rec.map_right.P) > 0
+    assert np.linalg.det(rec.P) > 0
     rng = np.random.default_rng(3)
     pts = rng.uniform(-5, 5, size=(1000, 2))
     for z in pts:
@@ -216,14 +221,12 @@ def test_record_round_trip_and_orientation():
 
 def test_shear_identity_when_equal():
     p = CanonicalParams(alpha=1, beta=1, delta=1, eta=1, rho=0, gamma1=1, gamma2=-1, gamma3=1)
-    out, rec = shear_to_equal_gammas(p)
-    assert out == p
-    np.testing.assert_allclose(rec.map_left.P, np.eye(2), atol=1e-15)
+    assert shear_to_equal_gammas(p) == p
 
 
 def test_shear_example_values():
     p = CanonicalParams(alpha=1, beta=1, delta=1, eta=1, rho=-1, gamma1=2, gamma2=-2, gamma3=0)
-    out, rec = shear_to_equal_gammas(p)
+    out = shear_to_equal_gammas(p)
     assert (out.gamma1, out.gamma2, out.gamma3) == (1.0, -1.0, 1.0)
     assert (out.eta, out.rho) == (1.0, 0.0)
     # Trace and determinant of the left block are preserved.
@@ -231,10 +234,6 @@ def test_shear_example_values():
     assert out.gamma1 * out.gamma3 - out.gamma2 == pytest.approx(
         p.gamma1 * p.gamma3 - p.gamma2
     )
-    # Shear acts only on the left half and fixes the axis.
-    np.testing.assert_allclose(rec.map_right.P, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(rec.map_left.apply([0.0, 2.0]), [0.0, 2.0], atol=1e-15)
-    assert np.linalg.det(rec.map_left.P) == pytest.approx(1.0)
 
 
 def test_shear_focus_family_gammas():
@@ -243,7 +242,7 @@ def test_shear_focus_family_gammas():
         alpha=alpha, beta=1, delta=1, eta=1, rho=-1,
         gamma1=2 * alpha, gamma2=-1 - alpha**2, gamma3=0,
     )
-    out, _ = shear_to_equal_gammas(p)
+    out = shear_to_equal_gammas(p)
     assert out.gamma1 == pytest.approx(alpha)
     assert out.gamma3 == pytest.approx(alpha)
     assert out.gamma2 == pytest.approx(-1.0)
@@ -251,7 +250,7 @@ def test_shear_focus_family_gammas():
 
 def test_shear_preserves_axis_labels():
     p = CanonicalParams(alpha=1, beta=1, delta=1, eta=1, rho=-1, gamma1=2, gamma2=-2, gamma3=0)
-    out, _ = shear_to_equal_gammas(p)
+    out = shear_to_equal_gammas(p)
     a, b = p.realize(), out.realize()
     for y in np.linspace(-3, 3, 61):
         assert classify_point(a, float(y)) is classify_point(b, float(y))
@@ -259,16 +258,18 @@ def test_shear_preserves_axis_labels():
 
 def test_shear_left_orbits_correspond():
     p = CanonicalParams(alpha=1, beta=1, delta=1, eta=1, rho=-1, gamma1=2, gamma2=-2, gamma3=0)
-    out, rec = shear_to_equal_gammas(p)
+    out = shear_to_equal_gammas(p)
+    kappa = (p.gamma3 - p.gamma1) / 2.0
+    S = np.array([[1.0, 0.0], [-kappa, 1.0]])
     f_old = p.realize().left
     f_new = out.realize().left
     z0 = np.array([-1.0, 0.5])
-    w0 = rec.push(z0)
+    w0 = S @ z0
     for t in np.linspace(0, 0.5, 11):
         z = _helper_flow(f_old, z0, t)
         if z[0] >= 0:
             break
-        np.testing.assert_allclose(rec.push(z), _helper_flow(f_new, w0, t), atol=1e-10)
+        np.testing.assert_allclose(S @ z, _helper_flow(f_new, w0, t), atol=1e-10)
 
 
 def test_shear_requires_delta_one():

@@ -15,6 +15,7 @@ from filippov.core import (
     RawSystem,
     RegionLabel,
     SLIDING_LABELS,
+    axis_breakpoints,
     classify_point,
     crossing_sets,
     equilibrium_info,
@@ -280,9 +281,14 @@ def test_normalize_swap_branch():
     out, rec = normalize_to_y_axis(raw)
     np.testing.assert_allclose(out.right.A, sys.right.A, atol=1e-12)
     np.testing.assert_allclose(out.left.A, sys.left.A, atol=1e-12)
-    # A raw point on the line y=0 lands on the new axis.
-    z = rec.push([2.0, 0.0])
-    assert abs(z[0]) < 1e-12
+    # Raw points on the line y=0 land on the new axis, and the record undoes itself.
+    for x in (-1.5, 0.0, 2.0):
+        w = rec.push([x, 0.0])
+        assert abs(w[0]) < 1e-12
+        assert rec.pullback_axis(w[1]) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(rec.pullback(w), [x, 0.0], atol=1e-12)
+    for z in ((0.3, -0.7), (-2.0, 1.5)):
+        np.testing.assert_allclose(rec.pullback(rec.push(z)), z, atol=1e-12)
 
 
 def test_normalize_general_line():
@@ -297,7 +303,11 @@ def test_normalize_general_line():
     for y in (-1.0, 0.25, 2.0):
         z_raw = np.linalg.solve(np.array([[2.0, -1.0], [0.0, 1.0]]), np.array([-3.0, y]))
         assert abs(raw.H(z_raw)) < 1e-12
-        assert abs(rec.push(z_raw)[0]) < 1e-12
+        w = rec.push(z_raw)
+        assert abs(w[0]) < 1e-12
+        assert rec.pullback_axis(w[1]) == pytest.approx(z_raw[1], abs=1e-12)
+    for z in ((0.3, -0.7), (-2.0, 1.5), (4.0, 4.0)):
+        np.testing.assert_allclose(rec.pullback(rec.push(z)), z, atol=1e-12)
 
 
 def test_normalize_labels_match_embedded_system():
@@ -406,6 +416,24 @@ def test_crossing_sets_match_the_pointwise_labels():
             assert (launch[0] < y < launch[1]) == (crossing and vp > 0.0)
             assert (landing[0] < y < landing[1]) == (crossing and vp < 0.0)
     assert both > 100
+
+
+def test_axis_primitives_agree_on_a_root_beyond_the_float_range():
+    # the right x-velocity 1e-320 * y + 1 vanishes at -1e320, which no float
+    # holds: every primitive leaves that root out, and the axis is labeled
+    sys = FilippovSystem(
+        left=AffineField([[-1.0, 1.0], [-2.0, -0.5]], [1.0, 0.3]),
+        right=AffineField([[0.2, 1e-320], [-1.0, 0.1]], [1.0, 0.5]),
+    )
+    assert sys.right.axis_root is None and sys.left.axis_root == -1.0
+    assert axis_breakpoints(sys) == [-1.0]
+    assert [(t.side, t.y) for t in tangency_points(sys)] == [("left", -1.0)]
+    assert crossing_sets(sys) == (None, None)
+    decomp = sigma_decomposition(sys)
+    assert [(iv.lo, iv.hi, iv.label) for iv in decomp.intervals] == [
+        (-math.inf, -1.0, RegionLabel.REPULSIVE_SLIDING),
+        (-1.0, math.inf, RegionLabel.CROSSING),
+    ]
 
 
 def test_sliding_singular_point_limit():

@@ -178,6 +178,17 @@ def test_cli_classify_zero_normal_exit2(tmp_path, capsys):
     assert "ZeroNormal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", [[1e-310, 1.0], [1e308, 1e308]])
+def test_cli_normal_floats_cannot_convert_exit2(tmp_path, capsys, c):
+    # finite and nonzero, but moving the line onto the axis overflows
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(_helper_spec_dict(c=c)))
+    for command in ("classify", "periodic"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "SpecFileError" in err and f"c = ({c[0]!r}, {c[1]!r}), d = 0.0" in err
+
+
 def test_cli_unknown_spec_exit2(capsys):
     assert main(["classify", "missing_system"]) == 2
     assert "bundled" in capsys.readouterr().err
@@ -264,9 +275,18 @@ def test_cli_periodic_seed_env(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["periodic", "example1"], ["verify-paper", "--only", "2"]])
 def test_cli_bad_seed_env_exits_2(monkeypatch, capsys, argv):
-    monkeypatch.setenv("FLP_SEED", "abc")
-    assert main(argv) == 2
-    assert "FLP_SEED wants an integer, got 'abc'" in capsys.readouterr().err
+    for value, message in (
+        ("abc", "FLP_SEED wants an integer, got 'abc'"),
+        ("-1", "FLP_SEED wants a non-negative integer, got -1"),
+    ):
+        monkeypatch.setenv("FLP_SEED", value)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_negative_seed_flag_exits_2(capsys):
+    assert main(["verify-paper", "--only", "1", "--seed", "-1"]) == 2
+    assert "seed wants a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_cli_dfunc_example6_one_sign_change(capsys):
