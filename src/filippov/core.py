@@ -166,6 +166,22 @@ class FilippovSystem:
     def time_reversed(self) -> "FilippovSystem":
         return FilippovSystem(left=self.left.negated(), right=self.right.negated())
 
+    @cached_property
+    def _tangencies(self) -> tuple[TangencyInfo, ...]:
+        """`tangency_points`, sorted by height."""
+        out: list[TangencyInfo] = []
+        for side in ("left", "right"):
+            f = self.field(side)
+            y_t = f.axis_root
+            if y_t is None:
+                continue  # constant x-velocity, or a root beyond the float range
+            speed = math.hypot(*f.axis_velocity(y_t))
+            if speed < math.inf and speed <= VANISH_TOL * (1.0 + speed):
+                continue  # the whole field vanishes: boundary equilibrium, not a tangency
+            out.append(TangencyInfo((0.0, y_t), side, tangency_visibility(f, side, y_t)))
+        out.sort(key=lambda t: t.y)
+        return tuple(out)
+
 
 class RegionLabel(Enum):
     CROSSING = "Crossing"
@@ -446,11 +462,14 @@ def tangency_visibility(field: AffineField, side: str, y: float) -> str:
     Decided by the second flow-derivative of x at the contact, a12 * v_y:
     for the right field a positive value means the parabolic arc bends into
     x > 0, so the contact is visible; for the left field the sign flips.
+    An infinite value, a y-speed beyond the float range, decides by its sign.
     """
     a12 = field.entries[1]
     vx, vy = field.axis_velocity(y)
     kappa = a12 * vy
-    if abs(kappa) <= VANISH_TOL * (1.0 + abs(a12) + math.hypot(vx, vy)):
+    if abs(kappa) < math.inf and abs(kappa) <= VANISH_TOL * (
+        1.0 + abs(a12) + math.hypot(vx, vy)
+    ):
         return "degenerate"
     if (kappa > 0.0) == (side == "right"):
         return "visible"
@@ -458,19 +477,11 @@ def tangency_visibility(field: AffineField, side: str, y: float) -> str:
 
 
 def tangency_points(sys: FilippovSystem) -> list[TangencyInfo]:
-    """Per-side roots of the axis x-velocity, excluding boundary equilibria."""
-    out: list[TangencyInfo] = []
-    for side in ("left", "right"):
-        f = sys.field(side)
-        y_t = f.axis_root
-        if y_t is None:
-            continue  # constant x-velocity, or a root beyond the float range
-        speed = math.hypot(*f.axis_velocity(y_t))
-        if speed <= VANISH_TOL * (1.0 + speed):
-            continue  # the whole field vanishes: boundary equilibrium, not a tangency
-        out.append(TangencyInfo((0.0, y_t), side, tangency_visibility(f, side, y_t)))
-    out.sort(key=lambda t: t.y)
-    return out
+    """Per-side roots of the axis x-velocity, excluding boundary equilibria.
+
+    Computed once per system; each call returns a fresh list.
+    """
+    return list(sys._tangencies)
 
 
 def axis_breakpoints(sys: FilippovSystem) -> list[float]:

@@ -33,7 +33,14 @@ from .core import (
     tangency_points,
     tangency_visibility,
 )
-from .errors import DegenerateField, DegenerateTangency, DomainError, NoReturn, ReturnOverflow
+from .errors import (
+    DegenerateField,
+    DegenerateTangency,
+    DomainError,
+    FilippovError,
+    NoReturn,
+    ReturnOverflow,
+)
 from .roots import brentq
 
 _EIG_SPLIT_TOL = 1e-9  # relative threshold between distinct and repeated eigenvalues
@@ -52,10 +59,16 @@ class _Eigen:
     written per spectrum as E = e^(at) (cos(wt) I + sin(wt)/w N) (complex),
     e^(l1 t) M1 + e^(l2 t) M2 (distinct) or e^(lt) (I + t N) (repeated).
     `at` evaluates it with float arithmetic only: math.exp overflow raises
-    OverflowError, products overflow quietly to inf/nan.
+    OverflowError, products overflow quietly to inf/nan.  `x_of` gives the
+    x component alone, bit for bit `at`'s, for root solves in time.
+
+    `returns` memoizes `_first_axis_hit` for the field's lifetime, keyed by
+    start point (zeros told apart by sign) and side: the landing (t, y), or
+    the class and args of the FilippovError the search raised.
     """
 
     def __init__(self, f: AffineField):
+        self.returns: dict = {}
         a11, a12, a21, a22, b1, b2 = f.entries
         self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
         self.b1, self.b2 = b1, b2
@@ -147,6 +160,61 @@ class _Eigen:
         x = e * (x0 + t * (n11 * x0 + n12 * y0)) + g * self.b1 + h * nb1
         y = e * (y0 + t * (n21 * x0 + n22 * y0)) + g * self.b2 + h * nb2
         return x, y
+
+    def x_of(self, x0: float, y0: float):
+        """t -> at(x0, y0, t)[0], the same float operations with the
+        products that do not depend on t taken once."""
+        b1 = self.b1
+        if self.kind == "complex":
+            a, w, d = self.a, self.omega, self.mod2
+            n11, n12, _, _ = self.N
+            nb1 = self.Nb[0]
+            u = n11 * x0 + n12 * y0
+            exp, cos, sin = math.exp, math.cos, math.sin
+
+            def x_complex(t: float) -> float:
+                e = exp(a * t)
+                c, s = cos(w * t), sin(w * t)
+                ic = (e * (a * c + w * s) - a) / d
+                isn = (e * (a * s - w * c) + w) / d / w
+                return e * (c * x0 + s / w * u) + ic * b1 + isn * nb1
+
+            return x_complex
+        if self.kind == "distinct":
+            p11, p12, _, _ = self.M1
+            q11, q12, _, _ = self.M2
+            pb1, qb1 = self.M1b[0], self.M2b[0]
+            l1, l2 = self.l1, self.l2
+            cp, cq = p11 * x0 + p12 * y0, q11 * x0 + q12 * y0
+            gbar = self._gbar
+            exp = math.exp
+
+            def x_distinct(t: float) -> float:
+                e1, e2 = exp(l1 * t), exp(l2 * t)
+                return e1 * cp + e2 * cq + gbar(l1, t) * pb1 + gbar(l2, t) * qb1
+
+            return x_distinct
+        lam = self.l
+        n11, n12, _, _ = self.N
+        nb1 = self.Nb[0]
+        u = n11 * x0 + n12 * y0
+        gbar = self._gbar
+        exp = math.exp
+
+        def x_repeated(t: float) -> float:
+            e = exp(lam * t)
+            g = gbar(lam, t)
+            z = lam * t
+            if abs(z) < 0.1:
+                h = 0.0
+                for c in _PSI_SERIES:
+                    h = h * z + c
+                h *= t * t
+            else:
+                h = (t * e - g) / lam
+            return e * (x0 + t * u) + g * b1 + h * nb1
+
+        return x_repeated
 
     def point(self, z0: np.ndarray, t: float) -> np.ndarray:
         return np.array(self.at(float(z0[0]), float(z0[1]), t))
@@ -267,6 +335,15 @@ def _polish_root(ev: _Eigen, x0: float, y0: float, t: float) -> tuple[float, flo
     return t, y
 
 
+def _landing(ev: _Eigen, x0: float, y0: float, t: float) -> tuple[float, float]:
+    """The polished return time near t and its height, both finite."""
+    t, y = _polish_root(ev, x0, y0, t)
+    # scale * |y| bounds the field's speed at the landing, which must be finite too
+    if not (math.isfinite(t) and math.isfinite(ev.scale * y)):
+        raise ReturnOverflow(f"axis return from ({x0}, {y0}) lands at t={t}, y={y}")
+    return t, y
+
+
 def _first_axis_hit(
     field: AffineField, x0: float, y0: float, side: str
 ) -> tuple[float, np.ndarray]:
@@ -275,22 +352,34 @@ def _first_axis_hit(
     Raises NoReturn when the orbit provably never comes back (escape to
     infinity or convergence toward an equilibrium), DomainError when it
     does not depart into `side`, and ReturnOverflow when the flow leaves
-    float range before it returns.
+    float range before it returns.  Each start is walked once per field:
+    later calls replay the landing, in a fresh array, or raise the same
+    error anew.
     """
-    try:
-        return _walk_to_axis(field, x0, y0, side)
-    except ReturnOverflow:
-        raise
-    except OverflowError:
-        raise ReturnOverflow(
-            f"orbit from ({x0}, {y0}) leaves float range before it returns"
-        ) from None
+    memo = _eigen(field).returns
+    key = (x0, y0, side, math.copysign(1.0, x0), math.copysign(1.0, y0))
+    hit = memo.get(key)
+    if hit is None:
+        try:
+            hit = _walk_to_axis(field, x0, y0, side)
+        except ReturnOverflow as exc:
+            hit = (ReturnOverflow, exc.args)
+        except OverflowError:
+            msg = f"orbit from ({x0}, {y0}) leaves float range before it returns"
+            hit = (ReturnOverflow, (msg,))
+        except FilippovError as exc:
+            # the class and args, never the instance: its traceback would
+            # keep the walk's frames alive as long as the field
+            hit = (type(exc), exc.args)
+        memo[key] = hit
+    t, y = hit
+    if isinstance(t, type):
+        raise t(*y)
+    return t, np.array([0.0, y])
 
 
-def _walk_to_axis(
-    field: AffineField, x0: float, y0: float, side: str
-) -> tuple[float, np.ndarray]:
-    """`_first_axis_hit`'s search.
+def _walk_to_axis(field: AffineField, x0: float, y0: float, side: str) -> tuple[float, float]:
+    """`_first_axis_hit`'s search; returns the landing time and height.
 
     One walk over the critical times of x(t), the pi/w ladder of a complex
     spectrum or the one turn of a real one, snaps onto a critical time on
@@ -299,23 +388,10 @@ def _walk_to_axis(
     """
     ev = _eigen(field)
     scale = ev.scale
-
-    def xf(t: float) -> float:
-        return ev.at(x0, y0, t)[0]
-
+    xf = ev.x_of(x0, y0)
     s0 = 1.0 if side == "right" else -1.0
     vx0 = ev.a11 * x0 + ev.a12 * y0 + ev.b1
     t_eps = 1e-12
-
-    def _finish(t: float) -> tuple[float, np.ndarray]:
-        t, y = _polish_root(ev, x0, y0, t)
-        # scale * |y| bounds the field's speed at the landing, which must be finite too
-        if not (math.isfinite(t) and math.isfinite(ev.scale * y)):
-            raise ReturnOverflow(f"axis return from ({x0}, {y0}) lands at t={t}, y={y}")
-        return t, np.array([0.0, y])
-
-    def _root(lo: float, hi: float) -> tuple[float, np.ndarray]:
-        return _finish(brentq(xf, lo, hi, xtol=1e-14))
 
     prev_t = 0.0
     complex_spectrum = ev.kind == "complex"
@@ -358,7 +434,7 @@ def _walk_to_axis(
     while prev_t < t_last:
         x_k = xf(t_k)
         if abs(x_k) <= snap:
-            return _finish(t_k)
+            return _landing(ev, x0, y0, t_k)
         if math.copysign(1.0, x_k) != s0:
             lo = prev_t
             if lo == 0.0:
@@ -368,7 +444,7 @@ def _walk_to_axis(
                     lo /= 8.0
                 if xf(lo) * s0 < 0.0:
                     raise DomainError(f"orbit from ({x0}, {y0}) does not depart into {side}")
-            return _root(lo, t_k)
+            return _landing(ev, x0, y0, brentq(xf, lo, t_k, xtol=1e-14))
         prev_t = t_k
         t_k += step
     if complex_spectrum:
@@ -383,7 +459,7 @@ def _walk_to_axis(
     for _ in range(80):
         hi = lo + width
         if xf(hi) * s0 < 0.0:
-            return _root(lo, hi)
+            return _landing(ev, x0, y0, brentq(xf, lo, hi, xtol=1e-14))
         width *= 2.0
     raise NoReturn("no axis return found within the scan horizon")
 
@@ -396,7 +472,9 @@ def first_return_to_axis(field: AffineField, z0, side: str) -> tuple[float, np.n
     """First positive-time axis intersection of the one-zone orbit from z0.
 
     z0 must be a finite point of the axis and the orbit must depart into the
-    stated side, either transversally or through a visible tangency.
+    stated side, either transversally or through a visible tangency.  The
+    return is computed once per field, start and side and cached on the
+    field; every call gets a fresh array.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -17,13 +17,6 @@ _MAXITER = 100
 _RTOL = 8.9e-16
 
 
-def _value(f, x: float) -> float:
-    fx = f(x)
-    if fx != fx:
-        raise RootNotBracketed(f"f({x!r}) is NaN")
-    return fx
-
-
 def brentq(f, a: float, b: float, xtol: float) -> float:
     """Root of f in [a, b], where f(a) and f(b) have opposite signs.
 
@@ -32,7 +25,12 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
     xtol + rtol*|x|.
     """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise RootNotBracketed(f"f({xpre!r}) is NaN")
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise RootNotBracketed(f"f({xcur!r}) is NaN")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -75,5 +73,7 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = _value(f, xcur)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise RootNotBracketed(f"f({xcur!r}) is NaN")
     raise RootNotConverged(f"no convergence after {_MAXITER} iterations, last x = {xcur!r}")

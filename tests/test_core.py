@@ -436,6 +436,34 @@ def test_axis_primitives_agree_on_a_root_beyond_the_float_range():
     ]
 
 
+def test_axis_primitives_agree_on_a_root_whose_speed_overflows():
+    # the right x-velocity 1e-300 * y + 1e-10 vanishes at -1e290, where the
+    # y-velocity 1e30 * y + 0.5 overflows to -inf: an infinite speed is no
+    # vanishing field, so the tangency stays, invisible by kappa's sign
+    sys = FilippovSystem(
+        left=AffineField([[-1.0, 1.0], [-2.0, -0.5]], [1.0, 0.3]),
+        right=AffineField([[0.2, 1e-300], [-1.0, 1e30]], [1e-10, 0.5]),
+    )
+    tps = tangency_points(sys)
+    assert [(t.side, t.y) for t in tps] == [("right", -1e290), ("left", -1.0)]
+    assert tps[0].visibility == "invisible"
+    assert axis_breakpoints(sys) == [t.y for t in tps]
+    launch, landing = crossing_sets(sys)
+    assert launch == (-1.0, math.inf) and landing == (-math.inf, -1e290)
+    assert sorted({launch[0], landing[1]}) == [t.y for t in tps]
+
+
+def test_tangency_points_returns_a_fresh_list_each_call():
+    sys = FilippovSystem(
+        left=AffineField([[-1.0, 1.0], [-2.0, -0.5]], [1.0, 0.3]),
+        right=AffineField([[0.2, 1.0], [-1.0, 0.1]], [1.0, 0.5]),
+    )
+    first = tangency_points(sys)
+    first.clear()
+    assert tangency_points(sys) == tangency_points(sys) != []
+    assert tangency_points(sys) is not tangency_points(sys)
+
+
 def test_sliding_singular_point_limit():
     # vm - vp vanishes at y=0 while N also vanishes there: extension by limit.
     right = AffineField([[0.0, 1.0], [0.0, 1.0]], [0.0, 0.0])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from filippov import flow
 from filippov.acceptance import _random_addcond_params, _random_system
 from filippov.core import (
     AffineField,
@@ -411,6 +413,66 @@ def test_first_return_matches_matrix_exponential(kind, lam, mu, basis, eq, y0):
     assert z_hit[0] == 0.0
     assert abs(want[0]) <= 1e-10 * scale
     assert abs(want[1] - z_hit[1]) <= 1e-10 * scale
+
+
+def _helper_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["complex", "distinct", "repeated"]),
+    lam=st.floats(-1.0, 1.0),
+    mu=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+    basis=st.tuples(
+        st.floats(0.0, 2.0 * math.pi), st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0)
+    ),
+    eq=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    z0=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    t_near=st.floats(0.0, 1e-6),
+    t_far=st.floats(1.0, 2000.0),
+)
+def test_x_kernel_is_the_flows_x_bit_for_bit(kind, lam, mu, basis, eq, z0, t_near, t_far):
+    """The root solves' x-only kernel computes `at`'s x with the same float
+    operations: equal bits, or the same OverflowError, near t = 0 and far."""
+    ev = flow._eigen(_helper_jordan_field(kind, lam, mu, basis, eq))
+    assert ev.kind == kind
+    x_of = ev.x_of(*z0)
+    for t in (t_near, t_far):
+        try:
+            want = ev.at(z0[0], z0[1], t)[0]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                x_of(t)
+            continue
+        assert _helper_bits(x_of(t)) == _helper_bits(want)
+
+
+def test_axis_return_memo_cannot_be_seen_from_outside():
+    f = AffineField([[2.0, 1.0], [-2.0, 0.0]], [0.0, 1.0])
+    t1, z1 = first_return_to_axis(f, (0.0, 0.0), "right")
+    landing = z1.tolist()
+    z1[1] = 7.0  # filippov_orbit snaps landings in place
+    t2, z2 = first_return_to_axis(f, (0.0, 0.0), "right")
+    assert (t2, z2.tolist()) == (t1, landing)
+    assert z2 is not z1
+
+    escape = AffineField(np.eye(2), [1.0, 0.0])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NoReturn) as err:
+            first_return_to_axis(escape, (0.0, 0.0), "right")
+        messages.append((type(err.value), str(err.value)))
+    assert messages[0] == messages[1]
+
+    # +0.0 and -0.0 are walked apart, each landing as on a field never asked
+    signed = AffineField([[0.3, 1.0], [-1.2, 0.1]], [0.0, 0.4])
+    for y0 in (0.0, -0.0, 0.0):
+        fresh = AffineField(signed.A, signed.b)
+        (t_a, z_a), (t_b, z_b) = (first_return_to_axis(g, (0.0, y0), "right") for g in (signed, fresh))
+        assert _helper_bits(t_a) == _helper_bits(t_b)
+        assert [_helper_bits(v) for v in z_a] == [_helper_bits(v) for v in z_b]
+    assert len(flow._eigen(signed).returns) == 2
 
 
 # ---------------------------------------------------------------------------
