@@ -16,13 +16,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .acceptance import default_seed, run_acceptance
+from .acceptance import ALL_CHECKS, default_seed, run_acceptance
 from .canonical import check_premises, to_canonical
 from .core import crossing_sets, equilibrium_info, sigma_decomposition, tangency_points
 from .errors import DomainError, FilippovError, SpecFileError
 from .flow import filippov_orbit, linear_flow
 from .periodic import _NO_ARC, _arc, coexistence
-from .report import _params_obj, build_report, format_csv, report_to_json
+from .report import build_report, format_csv, params_obj, report_to_json
 from .specfile import SystemSpecFile, resolve_spec
 
 _SPEC_FIELDS = ("A_plus", "b_plus", "A_minus", "b_minus", "c", "d")
@@ -87,7 +87,7 @@ def cmd_canonical(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
         return 1
     lines.append("canonical parameters:")
-    for key, val in _params_obj(params).items():
+    for key, val in params_obj(params).items():
         lines.append(f"  {key} = {val!r}")
     lines.append("transform steps: " + ", ".join(rec.steps))
     if rec.time_reversed:
@@ -191,10 +191,15 @@ def cmd_verify(args) -> int:
         try:
             only = [int(tok) for tok in args.only.split(",") if tok.strip()]
         except ValueError:
+            only = []
+        if not only:
             raise SpecFileError(f"--only wants comma-separated integers, got {args.only!r}")
+        # every number must name a check, before any check runs
+        known = {index for index, _, _ in ALL_CHECKS}
+        for n in only:
+            if n not in known:
+                raise SpecFileError(f"--only names no check {n} (valid: 1..{len(ALL_CHECKS)})")
     results = run_acceptance(only=only, seed=args.seed)
-    if not results:
-        raise SpecFileError(f"--only {args.only!r} selects no checks (valid: 1..10)")
     width = max(len(r.name) for r in results)
     lines = []
     n_pass = 0

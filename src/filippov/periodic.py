@@ -158,9 +158,9 @@ def find_sliding_orbits(sys: FilippovSystem) -> list[PeriodicOrbitRecord]:
                 continue
             try:
                 orbit = filippov_orbit(work, tp.location, budget=_LAP_SEGMENTS)
-            except OverflowError:
-                # the seeded arc leaves float range before returning; no
-                # periodic orbit passes through representable territory here
+            except _NO_ARC:
+                # the seeded arc does not return, or leaves float range or
+                # time resolution first: no lap through this tangency
                 continue
             ends = [s.y_end if s.kind == "slide" else s.end[1] for s in orbit.segments]
             lap = orbit.segments[: ends.index(tp.y) + 1] if tp.y in ends else ()

@@ -3,9 +3,13 @@
 A report gathers everything the library can say about one system: the
 switching-line decomposition, zone equilibria, tangencies, the canonical
 reduction (or the named reason it does not apply), and the periodic-orbit
-census.  The JSON rendering is deterministic: fixed key order, shortest
-round-trip float repr, no timestamps, and the originating spec embedded so
-the report is self-contained.
+census.  The JSON rendering is deterministic: shortest round-trip float
+repr, no timestamps, and the originating spec embedded so the report is
+self-contained.  Equilibria, premises, canonical parameters, orbit
+segments, terminal events and configurations are written from their
+dataclasses through `dataclasses.asdict`, so their JSON keys follow the
+dataclasses' field order: reordering a field reorders the report.  Only
+the switching line and the tangencies rename fields on the way out.
 """
 
 from __future__ import annotations
@@ -14,14 +18,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import __version__
 from .canonical import CanonicalParams, PremiseReport, check_premises, to_canonical
 from .core import (
-    EquilibriumInfo,
-    FilippovSystem,
     SigmaDecomposition,
     TangencyInfo,
     equilibrium_info,
@@ -33,7 +35,7 @@ from .flow import Orbit
 from .periodic import CoexistenceReport, coexistence
 from .specfile import SystemSpecFile, spec_obj
 
-__all__ = ["AnalysisReport", "build_report", "report_to_json", "format_csv"]
+__all__ = ["AnalysisReport", "build_report", "params_obj", "report_to_json", "format_csv"]
 
 DEFAULT_SEED = 20260823
 
@@ -57,22 +59,14 @@ def build_report(spec: SystemSpecFile, seed: int = DEFAULT_SEED) -> AnalysisRepo
     equilibria = {
         side: equilibrium_info(sys.field(side), side) for side in ("left", "right")
     }
-    premises: Optional[PremiseReport]
-    params: Optional[CanonicalParams]
-    err: Optional[str]
+    premises: Optional[PremiseReport] = None
+    params: Optional[CanonicalParams] = None
+    err: Optional[str] = None
     try:
         premises = check_premises(sys)
+        params = to_canonical(sys)[0]
     except FilippovError as exc:
-        premises = None
-        params = None
         err = f"{type(exc).__name__}: {exc}"
-    else:
-        try:
-            params = to_canonical(sys)[0]
-            err = None
-        except FilippovError as exc:
-            params = None
-            err = f"{type(exc).__name__}: {exc}"
     return AnalysisReport(
         spec=spec,
         sigma=sigma_decomposition(sys),
@@ -101,94 +95,40 @@ def _sigma_obj(sigma: SigmaDecomposition) -> dict:
     }
 
 
-def _equilibrium_obj(info: EquilibriumInfo) -> dict:
-    return {
-        "location": list(info.location),
-        "kind": info.kind,
-        "stability": info.stability,
-        "placement": info.placement,
-    }
-
-
 def _tangency_obj(tp: TangencyInfo) -> dict:
     return {"y": tp.y, "side": tp.side, "visibility": tp.visibility}
 
 
-def _params_obj(p: CanonicalParams) -> dict:
-    return {
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "delta": p.delta,
-        "eta": p.eta,
-        "rho": p.rho,
-        "gamma1": p.gamma1,
-        "gamma2": p.gamma2,
-        "gamma3": p.gamma3,
-        "m": p.m,
-        "tau": p.tau,
-        "Delta": p.Delta,
-        "nu": p.nu,
-    }
+def params_obj(p: CanonicalParams) -> dict:
+    """The canonical parameters in field order, then the derived tau, Delta, nu."""
+    return {**asdict(p), "tau": p.tau, "Delta": p.Delta, "nu": p.nu}
 
 
 def _orbit_obj(orbit: Orbit) -> dict:
-    segs = []
-    for s in orbit.segments:
-        if s.kind == "slide":
-            segs.append(
-                {
-                    "kind": "slide",
-                    "y_start": s.y_start,
-                    "y_end": s.y_end,
-                    "duration": s.duration,
-                }
-            )
-        else:
-            segs.append(
-                {
-                    "kind": "flow",
-                    "side": s.side,
-                    "start": list(s.start),
-                    "end": list(s.end),
-                    "duration": s.duration,
-                }
-            )
-    ev = orbit.terminal_event
     return {
-        "segments": segs,
-        "terminal": {
-            "kind": ev.kind,
-            "point": None if ev.point is None else list(ev.point),
-            "period": ev.period,
-        },
-        "grazed_tangencies": list(orbit.grazed_tangencies),
+        "segments": [{"kind": s.kind, **asdict(s)} for s in orbit.segments],
+        "terminal": asdict(orbit.terminal_event),
+        "grazed_tangencies": orbit.grazed_tangencies,
     }
 
 
 def _census_obj(census: CoexistenceReport) -> dict:
-    records = []
-    for r in census.records:
-        conf = None
-        if r.configuration is not None:
-            conf = {"tag": r.configuration.tag, "frame": list(r.configuration.frame)}
-        records.append(
-            {
-                "kind": r.kind,
-                "axis_signature": [list(item) for item in r.axis_signature],
-                "multiplier": r.multiplier,
-                "configuration": conf,
-                "orbit": _orbit_obj(r.orbit),
-            }
-        )
-    return {
-        "n_crossing": census.n_crossing,
-        "n_sliding": census.n_sliding,
-        "records": records,
-    }
+    records = [
+        {
+            "kind": r.kind,
+            "axis_signature": r.axis_signature,
+            "multiplier": r.multiplier,
+            "configuration": None if r.configuration is None else asdict(r.configuration),
+            "orbit": _orbit_obj(r.orbit),
+        }
+        for r in census.records
+    ]
+    return {"n_crossing": census.n_crossing, "n_sliding": census.n_sliding, "records": records}
 
 
 def _sanitize(obj):
-    """Strict JSON has no Infinity/NaN literals; spell them as strings."""
+    """Strict JSON has no Infinity/NaN literals; spell them as strings.
+    Tuples come out as lists, as json writes them."""
     if isinstance(obj, float):
         if math.isnan(obj):
             return "nan"
@@ -197,7 +137,7 @@ def _sanitize(obj):
         return obj
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     return obj
 
@@ -205,25 +145,17 @@ def _sanitize(obj):
 def report_to_json(report: AnalysisReport) -> str:
     premises = None
     if report.premises is not None:
-        premises = {
-            "cross_products_distinct": report.premises.cross_products_distinct,
-            "admissible_focus_side": report.premises.admissible_focus_side,
-            "focus_stability": dict(sorted(report.premises.focus_stability.items())),
-        }
+        premises = asdict(report.premises)
+        premises["focus_stability"] = dict(sorted(premises["focus_stability"].items()))
     obj = {
         "version": report.version,
         "seed": report.seed,
         "spec": spec_obj(report.spec),
         "switching_line": _sigma_obj(report.sigma),
-        "equilibria": {
-            side: _equilibrium_obj(report.equilibria[side])
-            for side in ("left", "right")
-        },
+        "equilibria": {side: asdict(report.equilibria[side]) for side in ("left", "right")},
         "tangencies": [_tangency_obj(tp) for tp in report.tangencies],
         "premises": premises,
-        "canonical": None
-        if report.canonical is None
-        else _params_obj(report.canonical),
+        "canonical": None if report.canonical is None else params_obj(report.canonical),
         "canonical_error": report.canonical_error,
         "census": _census_obj(report.census),
     }

@@ -3,7 +3,8 @@
 A spec carries the two matrices and offsets, the switching-line normal c and
 level d (defaulting to the vertical axis through the origin), and optional
 name and comment strings.  Serialization is deterministic so specs can be
-round-tripped byte for byte and embedded in reports.
+round-tripped byte for byte and embedded in reports: one table, `_PARSERS`,
+names every key in its serialized order and the parser that reads it.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ BUNDLED_NAMES = (
     "dry_friction",
 )
 
-_KEY_ORDER = ("name", "comment", "A_plus", "b_plus", "A_minus", "b_minus", "c", "d")
-
-
 @dataclass(frozen=True)
 class SystemSpecFile:
     A_plus: tuple[tuple[float, float], tuple[float, float]]
@@ -75,9 +73,12 @@ def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SpecFileError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise SpecFileError(f"{what} is an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise SpecFileError("all spec entries must be finite")
+    return number
 
 
 def _array(value, what: str):
@@ -101,6 +102,25 @@ def _vector(value, key: str) -> tuple[float, float]:
     return (vec[0], vec[1])
 
 
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise SpecFileError(f"{key} must be a string")
+    return value
+
+
+# every spec key, in serialized order, with the parser of its value
+_PARSERS = {
+    "name": _string,
+    "comment": _string,
+    "A_plus": _matrix,
+    "b_plus": _vector,
+    "A_minus": _matrix,
+    "b_minus": _vector,
+    "c": _vector,
+    "d": _number,
+}
+
+
 def parse_spec(source: str | bytes | dict) -> SystemSpecFile:
     """Parse and validate a spec from JSON text or an already-decoded dict."""
     if isinstance(source, (str, bytes)):
@@ -112,55 +132,23 @@ def parse_spec(source: str | bytes | dict) -> SystemSpecFile:
         obj = source
     if not isinstance(obj, dict):
         raise SpecFileError("spec must be a JSON object")
-    unknown = set(obj) - set(_KEY_ORDER)
+    unknown = set(obj) - set(_PARSERS)
     if unknown:
         raise SpecFileError(f"unknown spec keys: {sorted(unknown)}")
     for key in ("A_plus", "b_plus", "A_minus", "b_minus"):
         if key not in obj:
             raise SpecFileError(f"spec is missing required key {key!r}")
-
-    fields = {
-        "A_plus": _matrix(obj["A_plus"], "A_plus"),
-        "b_plus": _vector(obj["b_plus"], "b_plus"),
-        "A_minus": _matrix(obj["A_minus"], "A_minus"),
-        "b_minus": _vector(obj["b_minus"], "b_minus"),
-    }
-    if "c" in obj:
-        fields["c"] = _vector(obj["c"], "c")
-    if "d" in obj:
-        fields["d"] = _number(obj["d"], "d")
-    for key in ("name", "comment"):
-        if key in obj:
-            if not isinstance(obj[key], str):
-                raise SpecFileError(f"{key} must be a string")
-            fields[key] = obj[key]
-
-    flat = [
-        *fields["A_plus"][0], *fields["A_plus"][1], *fields["b_plus"],
-        *fields["A_minus"][0], *fields["A_minus"][1], *fields["b_minus"],
-        *fields.get("c", (1.0, 0.0)), fields.get("d", 0.0),
-    ]
-    if not all(math.isfinite(v) for v in flat):
-        raise SpecFileError("all spec entries must be finite")
-    if fields.get("c", (1.0, 0.0)) == (0.0, 0.0):
+    spec = SystemSpecFile(
+        **{key: parse(obj[key], key) for key, parse in _PARSERS.items() if key in obj}
+    )
+    if spec.c == (0.0, 0.0):
         raise ZeroNormal("switching-line normal c must be nonzero")
-    return SystemSpecFile(**fields)
+    return spec
 
 
 def spec_obj(spec: SystemSpecFile) -> dict:
-    """The spec as a dict in the fixed key order; empty name and comment left out."""
-    obj: dict = {}
-    if spec.name:
-        obj["name"] = spec.name
-    if spec.comment:
-        obj["comment"] = spec.comment
-    obj["A_plus"] = [list(spec.A_plus[0]), list(spec.A_plus[1])]
-    obj["b_plus"] = list(spec.b_plus)
-    obj["A_minus"] = [list(spec.A_minus[0]), list(spec.A_minus[1])]
-    obj["b_minus"] = list(spec.b_minus)
-    obj["c"] = list(spec.c)
-    obj["d"] = spec.d
-    return obj
+    """The spec's fields in `_PARSERS` order; an empty name or comment is left out."""
+    return {key: value for key in _PARSERS if (value := getattr(spec, key)) != ""}
 
 
 def serialize_spec(spec: SystemSpecFile) -> str:

@@ -467,6 +467,24 @@ def test_canonical_draws_whose_orbits_leave_float_range(draw, counts):
     assert (rep.n_crossing, rep.n_sliding) == counts
 
 
+@pytest.mark.parametrize("reversed_time", [False, True])
+def test_census_of_a_field_too_fast_to_resolve_skips_the_tangency(reversed_time):
+    # check 1's draw 37 with both fields scaled by 1e20 turns a half-turn in
+    # 3.7e-20, inside the time floor: the tangency's lap has no resolvable
+    # arc and is skipped, as a crossing lap is, instead of failing the census
+    sys = _helper_random_draw(20260823, 37)
+    rep = coexistence(sys)
+    assert (rep.n_crossing, rep.n_sliding) == (0, 0)
+    big = FilippovSystem(
+        left=AffineField(sys.left.A * 1e20, sys.left.b * 1e20),
+        right=AffineField(sys.right.A * 1e20, sys.right.b * 1e20),
+    )
+    if reversed_time:
+        big = big.time_reversed()
+    rep = coexistence(big)
+    assert (rep.n_crossing, rep.n_sliding) == (0, 0)
+
+
 @pytest.mark.parametrize("name", ["example6", "crossing_sliding_rho"])
 def test_orbit_started_on_a_crossing_cycle_still_closes(name):
     # the closure check runs before the outward-spiral test, so a start on

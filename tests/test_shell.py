@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filippov.canonical import to_canonical
 from filippov.cli import main
@@ -20,6 +21,7 @@ from filippov.periodic import coexistence
 from filippov.report import format_csv
 from filippov.specfile import (
     BUNDLED_NAMES,
+    SystemSpecFile,
     bundled_examples,
     parse_spec,
     resolve_spec,
@@ -76,6 +78,40 @@ def test_bundled_roundtrip_byte_identical():
     for name in BUNDLED_NAMES:
         text = _bundled_text(name)
         assert serialize_spec(parse_spec(text)) == text
+
+
+_SPEC_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+_SPEC_PAIRS = st.tuples(_SPEC_FLOATS, _SPEC_FLOATS)
+
+
+@st.composite
+def _helper_specs(draw):
+    optional = {
+        "c": _SPEC_PAIRS.filter(lambda c: c != (0.0, 0.0)),
+        "d": _SPEC_FLOATS,
+        "name": st.one_of(st.just(""), st.text()),
+        "comment": st.one_of(st.just(""), st.text()),
+    }
+    return SystemSpecFile(
+        A_plus=draw(st.tuples(_SPEC_PAIRS, _SPEC_PAIRS)),
+        b_plus=draw(_SPEC_PAIRS),
+        A_minus=draw(st.tuples(_SPEC_PAIRS, _SPEC_PAIRS)),
+        b_minus=draw(_SPEC_PAIRS),
+        **{key: draw(value) for key, value in optional.items() if draw(st.booleans())},
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_helper_specs())
+def test_generated_spec_roundtrip_byte_identical(spec):
+    # empty or set name and comment, default or given c and d, signed zeros,
+    # subnormals and the float range's ends
+    text = serialize_spec(spec)
+    assert serialize_spec(parse_spec(text)) == text
+    assert parse_spec(text) == spec
 
 
 def test_bundled_names_and_order():
@@ -448,6 +484,15 @@ def test_cli_sweep_bad_range_exit2(capsys):
     args = ["sweep", "example1", "--param", "d", "--range", "0:1"]
     assert main(args) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("only, bad", [("2,99", "99"), ("99", "99"), ("0,1", "0")])
+def test_cli_verify_rejects_unknown_check_numbers_before_any_runs(monkeypatch, capsys, only, bad):
+    ran = []
+    monkeypatch.setattr("filippov.cli.run_acceptance", lambda **kw: ran.append(kw) or [])
+    assert main(["verify-paper", "--only", only]) == 2
+    assert f"no check {bad} " in capsys.readouterr().err
+    assert ran == []
 
 
 def test_cli_verify_subset(capsys):

@@ -8,19 +8,24 @@ Run it from the root of a source checkout.  Both sides are exported with
 with a bytecode cache the other lacks: the parent revision (default HEAD,
 the parent of uncommitted work), and this tree's tracked files as they
 stand, staged or not, through ``git stash create`` (which writes a
-dangling commit and touches neither the tree nor the stash list).  For
-each workload of ``BENCHMARK.json`` the script then runs
-``perfbench/run.py`` once from each side per pair, one process at a time,
-the parent first in even pairs and the change first in odd ones, so that
-drift in machine speed falls on both sides.  After the pairs it makes one
+dangling commit and touches neither the tree nor the stash list).  The
+runs it starts get the caller's environment without
+``PYTHONDONTWRITEBYTECODE``: with it set, every ``flp`` child of the
+flp_cli workload compiles the package from source, so its
+``peak_rss_mb`` would grow with the size of the source rather than with
+what a request holds.  For each workload of ``BENCHMARK.json`` the
+script then runs ``perfbench/run.py`` once from each side per pair, one
+process at a time, the parent first in even pairs and the change first
+in odd ones, so that drift in machine speed falls on both sides.  After the pairs it makes one
 traced run per side of each census workload, and 4 pairs of
 canonical_census at ``--other-seed``, a seed the change was not tuned on.
 
 It writes ``BENCH_<pr>.json``: per workload and end-to-end metric the
 median and quartiles of each side, the pairs the change wins (by the
 metric's direction in ``BENCHMARK.json``) and the ratio of the medians;
-every pair's raw metrics; the traced runs; and the machine as
-``perfbench/run.py`` reports it.  perfbench itself is only run, never
+every pair's raw metrics; the traced runs; the machine as
+``perfbench/run.py`` reports it; and whether the caller had
+``PYTHONDONTWRITEBYTECODE`` set.  perfbench itself is only run, never
 imported or edited.
 """
 
@@ -36,6 +41,8 @@ import tarfile
 import tempfile
 
 RUN = ["perfbench/run.py"]
+# bytecode caches are written and read in the runs, as by a user's install
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 OTHER_WORKLOAD = "canonical_census"
 OTHER_PAIRS = 4
 
@@ -62,7 +69,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
     proc = subprocess.run(
         [sys.executable, *RUN, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True,
+        cwd=root, env=ENV, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -170,6 +177,7 @@ def main() -> int:
                 f"{args.pairs} pairs per workload, one run at a time, alternating which "
                 "side runs first; then one traced run per side of each census workload.",
         "machine": machine,
+        "caller_set_PYTHONDONTWRITEBYTECODE": "PYTHONDONTWRITEBYTECODE" in os.environ,
         "summary": summary,
         "pairs": pairs,
         "traced_runs": traced,
