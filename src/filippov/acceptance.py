@@ -8,7 +8,6 @@ construction.  Randomized checks read their seed from FLP_SEED when set.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,11 +21,11 @@ from .core import (
     sliding_field,
     sliding_intervals,
 )
-from .errors import DegenerateField, DegenerateTangency, FilippovError, SpecFileError
+from .errors import DegenerateField, DegenerateTangency, FilippovError
 from .flow import first_return_to_axis
 from .halfmaps import P_L_inv, P_R, derivatives, displacement, make_context, solve_t_hats, zeros_of_D
 from .periodic import coexistence, scenario_example1, scenario_example2, solve_eta_c, solve_rho_c
-from .report import DEFAULT_SEED
+from .report import checked_seed, default_seed
 from .specfile import bundled_examples
 
 __all__ = ["CheckResult", "run_acceptance", "ALL_CHECKS", "WINDOW_OFFSETS", "default_seed"]
@@ -42,25 +41,6 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed: float
-
-
-def _checked_seed(seed: int, source: str) -> int:
-    """`seed` when numpy's generators accept it; a SpecFileError naming `source` if not."""
-    if seed < 0:
-        raise SpecFileError(f"{source} wants a non-negative integer, got {seed}")
-    return seed
-
-
-def default_seed() -> int:
-    """FLP_SEED when it is set, else the report's default seed."""
-    text = os.environ.get("FLP_SEED")
-    if text is None:
-        return DEFAULT_SEED
-    try:
-        seed = int(text)
-    except ValueError:
-        raise SpecFileError(f"FLP_SEED wants an integer, got {text!r}") from None
-    return _checked_seed(seed, "FLP_SEED")
 
 
 def _random_system(rng) -> FilippovSystem:
@@ -354,8 +334,8 @@ def check_filippov_identity(seed: Optional[int] = None):
             for _ in range(5):
                 y = rng.uniform(lo, hi)
                 z = np.array([0.0, y])
-                fp = sys.right.velocity(z)
-                fm = sys.left.velocity(z)
+                fp = np.asarray(sys.right.velocity(z))
+                fm = np.asarray(sys.left.velocity(z))
                 vp, vm = float(fp[0]), float(fm[0])
                 if vm == vp:
                     continue
@@ -412,7 +392,7 @@ def run_acceptance(
     only: Optional[list[int]] = None, seed: Optional[int] = None
 ) -> list[CheckResult]:
     # a bad seed fails before any check runs
-    seed = default_seed() if seed is None else _checked_seed(seed, "seed")
+    seed = default_seed() if seed is None else checked_seed(seed, "seed")
     results = []
     for index, name, fn in ALL_CHECKS:
         if only and index not in only:

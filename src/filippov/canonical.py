@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from .core import (
     AffineField,
     FilippovSystem,
@@ -128,6 +126,11 @@ def check_premises(sys: FilippovSystem) -> PremiseReport:
     )
 
 
+def _field(a11: float, a12: float, a21: float, a22: float, b1: float, b2: float) -> AffineField:
+    """The field with `entries` (a11, a12, a21, a22, b1, b2)."""
+    return AffineField(((a11, a12), (a21, a22)), (b1, b2))
+
+
 def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]:
     """Reduce to the canonical family; the record carries the full chain.
 
@@ -149,9 +152,8 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
 
     work = sys
     # Every step maps both halves alike, so the chain is one map
-    # z_new = P z_old + q, composed as P, q = S P, S q + s; adding s even
-    # where it is zero turns -0.0 into 0.0.
-    P, q, zero = np.eye(2), np.zeros(2), np.zeros(2)
+    # z_new = P z_old + q, composed step by step in closed form.
+    P, q = ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0)
     steps = ["identity"]
     time_reversed = mirror = False
 
@@ -164,12 +166,12 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         # is positive by now, so the y-flip always follows: together they are
         # z -> -z with the halves swapped, which keeps each matrix and negates
         # each offset.
+        (r1, r2), (l1, l2) = work.right.b, work.left.b
         work = FilippovSystem(
-            left=AffineField(work.right.A, -work.right.b),
-            right=AffineField(work.left.A, -work.left.b),
+            left=AffineField(work.right.A, (-r1, -r2)),
+            right=AffineField(work.left.A, (-l1, -l2)),
         )
-        for S in (np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])):
-            P, q = S @ P, S @ q + zero
+        P = ((-1.0, 0.0), (0.0, -1.0))
         mirror = True
         steps += ["mirror", "y-flip"]
 
@@ -179,27 +181,33 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
     disc0 = work.right.discriminant
 
     # Similarity built from the right field that zeroes its lower-right entry
-    # and the first offset component, keeping the axis fixed.
-    M = np.array([[1.0, 0.0], [a22 / a12, a12]])
-    k = np.array([0.0, -b1 / a12])
-    Minv = np.linalg.inv(M)
+    # and the first offset component, keeping the axis fixed: z_old = M z_new + k
+    # with M = [[1, 0], [slope, a12]] and k = (0, kappa), so x_new = x_old and
+    # y_new = (y_old - slope x_old - kappa) / a12.
+    slope, kappa = a22 / a12, -b1 / a12
 
     def through_M(f: AffineField) -> AffineField:
-        return AffineField(Minv @ f.A @ M, Minv @ (f.A @ k + f.b))
+        f11, f12, f21, f22, g1, g2 = f.entries
+        # the x-row at z_old = M z_new + k, then the y-row less slope times it
+        x1, x2, x0 = f11 + f12 * slope, f12 * a12, f12 * kappa + g1
+        y1, y2 = (f21 + f22 * slope - slope * x1) / a12, f22 - slope * f12
+        return _field(x1, x2, y1, y2, x0, (f22 * kappa + g2 - slope * x0) / a12)
 
     work = FilippovSystem(left=through_M(work.left), right=through_M(work.right))
-    P, q = Minv @ P, Minv @ q - Minv @ k
+    (p11, p12), (p21, p22) = P
+    P = ((p11, p12), ((p21 - slope * p11) / a12, (p22 - slope * p12) / a12))
+    q = (q[0], (q[1] - slope * q[0] - kappa) / a12)
     steps.append("right-similarity")
 
     a12_prod = work.left.entries[1]  # equals a12 * (left upper-right entry)
-    delta = int(np.sign(a12_prod))
+    delta = (a12_prod > 0.0) - (a12_prod < 0.0)
     u = 1.0 / abs(a12_prod) if a12_prod != 0.0 else 1.0
 
     s_right = a12 * a12
     s_left = 1.0 / u
     work = FilippovSystem(
-        left=AffineField(u * work.left.A, u * work.left.b),
-        right=AffineField(work.right.A / s_right, work.right.b / s_right),
+        left=_field(*(u * v for v in work.left.entries)),
+        right=_field(*(v / s_right for v in work.right.entries)),
     )
     # time factors are kept per original half, which a mirror has swapped
     time_left, time_right = (s_right, s_left) if mirror else (s_left, s_right)
@@ -213,14 +221,14 @@ def to_canonical(sys: FilippovSystem) -> tuple[CanonicalParams, TransformRecord]
         w = math.sqrt(abs(disc0)) / (2.0 * a12 * a12)
         m = 1 if disc0 > 0 else -1
 
-    Dw = np.diag([w, 1.0])
-    work = FilippovSystem(
-        left=AffineField(Dw @ work.left.A @ np.linalg.inv(Dw) / w, Dw @ work.left.b / w),
-        right=AffineField(
-            Dw @ work.right.A @ np.linalg.inv(Dw) / w, Dw @ work.right.b / w
-        ),
-    )
-    P, q = Dw @ P, Dw @ q + zero
+    def x_rescaled(f: AffineField) -> AffineField:
+        # x_new = w x_old and time divided by w: diag(w, 1) A diag(1/w, 1) / w
+        f11, f12, f21, f22, g1, g2 = f.entries
+        return _field(f11 / w, f12, f21 / w / w, f22 / w, g1, g2 / w)
+
+    work = FilippovSystem(left=x_rescaled(work.left), right=x_rescaled(work.right))
+    (p11, p12), row2 = P
+    P, q = ((w * p11, w * p12), row2), (w * q[0], q[1])
     time_left, time_right = time_left * w, time_right * w
     steps.append("x-rescale")
 

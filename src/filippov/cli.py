@@ -14,15 +14,12 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .acceptance import ALL_CHECKS, default_seed, run_acceptance
 from .canonical import check_premises, to_canonical
 from .core import crossing_sets, equilibrium_info, sigma_decomposition, tangency_points
 from .errors import DomainError, FilippovError, SpecFileError
 from .flow import filippov_orbit, linear_flow
 from .periodic import _NO_ARC, _arc, coexistence
-from .report import build_report, format_csv, params_obj, report_to_json
+from .report import build_report, default_seed, format_csv, params_obj, report_to_json
 from .specfile import SystemSpecFile, resolve_spec
 
 _SPEC_FIELDS = ("A_plus", "b_plus", "A_minus", "b_minus", "c", "d")
@@ -133,8 +130,8 @@ def cmd_orbit(args) -> int:
             field = work.field(seg.side)
             for k in range(33):
                 s = seg.duration * k / 32.0
-                z = linear_flow(field, seg.start, s)
-                rows.append([sgn * (t0 + s) + 0.0, float(z[0]), float(z[1]), "flow"])
+                x, y = linear_flow(field, seg.start, s)
+                rows.append([sgn * (t0 + s) + 0.0, x, y, "flow"])
         else:
             rows.append([sgn * t0 + 0.0, 0.0, float(seg.y_start), "slide"])
             rows.append([sgn * (t0 + seg.duration) + 0.0, 0.0, float(seg.y_end), "slide"])
@@ -144,13 +141,14 @@ def cmd_orbit(args) -> int:
         # reaching the axis, so there is no event segment; sample it anyway
         # over a horizon set by the slow decay rate
         field = work.field(_entry_side(work, args.x0, args.y0))
-        decay = max(float(v.real) for v in np.linalg.eigvals(np.asarray(field.A, float)))
+        # the largest real part of an eigenvalue, tr/2 + sqrt(disc)/2 when real
+        decay = (field.trace + math.sqrt(max(field.discriminant, 0.0))) / 2.0
         horizon = math.log(1e8) / abs(decay) if decay < 0.0 else 10.0
         horizon = min(1e3, max(1e-2, horizon))
         for k in range(129):
             s = horizon * k / 128.0
-            z = linear_flow(field, (args.x0, args.y0), s)
-            rows.append([sgn * s + 0.0, float(z[0]), float(z[1]), "flow"])
+            x, y = linear_flow(field, (args.x0, args.y0), s)
+            rows.append([sgn * s + 0.0, x, y, "flow"])
     _emit(args, format_csv(["t", "x", "y", "segment_kind"], rows))
     return 0
 
@@ -172,7 +170,7 @@ def cmd_dfunc(args) -> int:
             return math.nan
 
     rows: list[list] = []
-    for y in np.linspace(args.y_min, args.y_max, args.samples).tolist():
+    for y in _grid(args.y_min, args.y_max, args.samples):
         pr, pl = arc("right", y), arc("left", y)
         rows.append([y, pr, pl, pl - pr])
     _emit(args, format_csv(["y", "P_R", "P_Linv", "D"], rows))
@@ -186,6 +184,9 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: only this command loads the checks' random generators
+    from .acceptance import ALL_CHECKS, run_acceptance
+
     only = None
     if args.only:
         try:
@@ -244,7 +245,23 @@ def _set_param(spec: SystemSpecFile, path: str, value: float) -> SystemSpecFile:
         ) from exc
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced floats from lo to hi, both included: i * step + lo,
+    or i / (n - 1) * (hi - lo) + lo where the step underflows, and the last
+    point hi itself, the operations and order of a standard linspace."""
+    if n == 1:
+        return [0.0 * (hi - lo) + lo]
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:  # the step underflows: scale i / (n - 1) instead
+        out = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        out = [i * step + lo for i in range(n)]
+    out[-1] = hi
+    return out
+
+
+def _parse_range(text: str) -> list[float]:
     try:
         a, b, n = text.split(":")
         lo, hi, count = float(a), float(b), int(n)
@@ -252,14 +269,13 @@ def _parse_range(text: str) -> np.ndarray:
         raise SpecFileError(f"--range wants a:b:n, got {text!r}")
     if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpecFileError(f"--range wants a finite a:b and n >= 1, got {text!r}")
-    return np.linspace(lo, hi, count)
+    return _grid(lo, hi, count)
 
 
 def cmd_sweep(args) -> int:
     spec = resolve_spec(args.spec)
     rows: list[list] = []
     for value in _parse_range(args.range):
-        value = float(value)
         mutated = _set_param(spec, args.param, value)
         tags = ""
         err = ""

@@ -18,37 +18,78 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import DegenerateField, NotSlidingRegion, SpecFileError, VelocityOverflow, ZeroNormal
 
 # Absolute scale for "this quantity vanishes" decisions, multiplied by
 # 1 + local field magnitude so labeling is stable under system rescaling.
 VANISH_TOL = 1e-10
 
+Vector = tuple[float, float]
+Matrix = tuple[Vector, Vector]
 
-def _as_matrix(A) -> np.ndarray:
-    M = np.array(A, dtype=float)
-    if M.shape != (2, 2) or not np.all(np.isfinite(M)):
+
+def _pair(values) -> Optional[Vector]:
+    """`values` as two finite floats, or None when it is not two finite numbers."""
+    try:
+        x, y = values
+        out = (float(x), float(y))
+    except (TypeError, ValueError):
+        return None
+    return out if math.isfinite(out[0]) and math.isfinite(out[1]) else None
+
+
+def _as_matrix(A) -> Matrix:
+    # an array, or a view of one, reads as nested lists through tolist()
+    rows = A.tolist() if hasattr(A, "tolist") else A
+    try:
+        r1, r2 = map(_pair, rows)
+    except (TypeError, ValueError):
+        r1 = r2 = None
+    if r1 is None or r2 is None:
         raise ValueError("expected a finite 2x2 matrix")
-    M.setflags(write=False)
-    return M
+    return r1, r2
 
 
-def _as_vector(b) -> np.ndarray:
-    v = np.array(b, dtype=float)
-    if v.shape != (2,) or not np.all(np.isfinite(v)):
+def _as_vector(b) -> Vector:
+    v = _pair(b.tolist() if hasattr(b, "tolist") else b)
+    if v is None:
         raise ValueError("expected a finite 2-vector")
-    v.setflags(write=False)
     return v
+
+
+def _matmul(M: Matrix, N: Matrix) -> Matrix:
+    (m11, m12), (m21, m22) = M
+    (n11, n12), (n21, n22) = N
+    return (
+        (m11 * n11 + m12 * n21, m11 * n12 + m12 * n22),
+        (m21 * n11 + m22 * n21, m21 * n12 + m22 * n22),
+    )
+
+
+def _matvec(M: Matrix, v: Vector) -> Vector:
+    (m11, m12), (m21, m22) = M
+    return m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1]
+
+
+def _solve(M: Matrix, v: Vector) -> Vector:
+    """x with M x = v, by LU with partial pivoting: the rows swap when
+    |m21| > |m11|, then one elimination step and back substitution.
+    A singular M raises ZeroDivisionError."""
+    (m11, m12), (m21, m22) = M
+    v1, v2 = v
+    if abs(m21) > abs(m11):
+        m11, m12, m21, m22, v1, v2 = m21, m22, m11, m12, v2, v1
+    l21 = m21 / m11
+    x2 = (v2 - l21 * v1) / (m22 - l21 * m12)
+    return (v1 - m12 * x2) / m11, x2
 
 
 @dataclass(frozen=True, eq=False)
 class AffineField:
     """One zone's dynamics z' = A z + b."""
 
-    A: np.ndarray
-    b: np.ndarray
+    A: Matrix
+    b: Vector
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_matrix(self.A))
@@ -57,8 +98,8 @@ class AffineField:
     @cached_property
     def entries(self) -> tuple[float, float, float, float, float, float]:
         """(a11, a12, a21, a22, b1, b2) as plain floats."""
-        (a11, a12), (a21, a22) = self.A.tolist()
-        return a11, a12, a21, a22, *self.b.tolist()
+        (a11, a12), (a21, a22) = self.A
+        return a11, a12, a21, a22, *self.b
 
     @cached_property
     def det(self) -> float:
@@ -78,9 +119,10 @@ class AffineField:
         scale = max(abs(a) for a in self.entries[:4]) + 1.0
         return abs(self.det) <= 1e-14 * scale * scale
 
-    def velocity(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return self.A @ z + self.b
+    def velocity(self, z) -> Vector:
+        a11, a12, a21, a22, b1, b2 = self.entries
+        x, y = float(z[0]), float(z[1])
+        return a11 * x + a12 * y + b1, a21 * x + a22 * y + b2
 
     @cached_property
     def axis_root(self) -> Optional[float]:
@@ -104,12 +146,14 @@ class AffineField:
     @cached_property
     def _negated(self) -> "AffineField":
         # one object per field, so the flow's cached eigenstructure is reused
-        return AffineField(-self.A, -self.b)
+        a11, a12, a21, a22, b1, b2 = self.entries
+        return AffineField(((-a11, -a12), (-a21, -a22)), (-b1, -b2))
 
-    def equilibrium(self) -> np.ndarray:
+    def equilibrium(self) -> Vector:
         if self.is_degenerate:
             raise DegenerateField("field has det(A) ~ 0, no isolated equilibrium")
-        return np.linalg.solve(self.A, -self.b)
+        _, _, _, _, b1, b2 = self.entries
+        return _solve(self.A, (-b1, -b2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +165,18 @@ class RawSystem:
 
     plus: AffineField
     minus: AffineField
-    c: np.ndarray
+    c: Vector
     d: float
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_vector(self.c))
         object.__setattr__(self, "d", float(self.d))
-        if float(np.hypot(self.c[0], self.c[1])) == 0.0:
+        if math.hypot(*self.c) == 0.0:
             raise ZeroNormal("switching-line normal c must be nonzero")
 
     def H(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(self.c @ z + self.d)
+        c1, c2 = self.c
+        return c1 * float(z[0]) + c2 * float(z[1]) + self.d
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +200,20 @@ class FilippovSystem:
         return self.left.axis_velocity(y)[0]
 
     def mirrored(self) -> "FilippovSystem":
-        """Reflect x -> -x; the two zones swap roles."""
-        K = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        return FilippovSystem(
-            left=AffineField(K @ self.right.A @ K, K @ self.right.b),
-            right=AffineField(K @ self.left.A @ K, K @ self.left.b),
-        )
+        """Reflect x -> -x; the two zones swap roles.
+
+        The entries that pick up a sign are negated as 0.0 - v and the
+        others are kept as v + 0.0, so every zero entry of the image is
+        +0.0 whatever the sign of the zero it came from.
+        """
+
+        def flip(f: AffineField) -> AffineField:
+            a11, a12, a21, a22, b1, b2 = f.entries
+            return AffineField(
+                ((a11 + 0.0, 0.0 - a12), (0.0 - a21, a22 + 0.0)), (0.0 - b1, b2 + 0.0)
+            )
+
+        return FilippovSystem(left=flip(self.right), right=flip(self.left))
 
     def time_reversed(self) -> "FilippovSystem":
         return FilippovSystem(left=self.left.negated(), right=self.right.negated())
@@ -247,8 +299,8 @@ class TransformRecord:
     backwards; the map still carries orbits onto orbits as point sets.
     """
 
-    P: np.ndarray
-    q: np.ndarray
+    P: Matrix
+    q: Vector
     time_left: float = 1.0
     time_right: float = 1.0
     mirror: bool = False
@@ -259,15 +311,16 @@ class TransformRecord:
         object.__setattr__(self, "P", _as_matrix(self.P))
         object.__setattr__(self, "q", _as_vector(self.q))
 
-    def push(self, z) -> np.ndarray:
-        return self.P @ np.asarray(z, dtype=float) + self.q
+    def push(self, z) -> Vector:
+        x, y = _matvec(self.P, (float(z[0]), float(z[1])))
+        return x + self.q[0], y + self.q[1]
 
-    def pullback(self, z_new) -> np.ndarray:
-        Pi = np.linalg.inv(self.P)
-        return Pi @ np.asarray(z_new, dtype=float) - Pi @ self.q
+    def pullback(self, z_new) -> Vector:
+        """The z_old with push(z_old) = z_new, solved from P z_old = z_new - q."""
+        return _solve(self.P, (float(z_new[0]) - self.q[0], float(z_new[1]) - self.q[1]))
 
     def pullback_axis(self, y_new: float) -> float:
-        return float(self.pullback((0.0, y_new))[1])
+        return self.pullback((0.0, y_new))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,32 +330,33 @@ class TransformRecord:
 def normalize_to_y_axis(raw: RawSystem) -> tuple[FilippovSystem, TransformRecord]:
     """Move the switching line c.z + d = 0 onto the y-axis.
 
-    Uses the change z_old = B (z_new + nu) with nu = (-d, 0) and B picked by
-    whether c1 vanishes; in the new coordinates H(z_old) equals the new x
-    coordinate, so the plus field governs x > 0.
+    The new coordinates are z_new = P z_old + q with x_new = c.z_old + d =
+    H(z_old), so the plus field governs x > 0, and y_new = y_old when
+    c1 != 0, x_old otherwise.  The fields are conjugated by B = P^-1, taken
+    from c in closed form, about the point z* = B (-d, 0) of the line.
+    Raises SpecFileError when the converted fields are not finite floats.
     """
-    c1, c2 = float(raw.c[0]), float(raw.c[1])
-    nu = np.array([-raw.d, 0.0])
+    c1, c2 = raw.c
     if c1 != 0.0:
-        B = np.array([[1.0 / c1, -c2 / c1], [0.0, 1.0]])
+        P, B = ((c1, c2), (0.0, 1.0)), ((1.0 / c1, -c2 / c1), (0.0, 1.0))
     else:
-        B = np.array([[0.0, 1.0], [1.0 / c2, 0.0]])
-    Binv = np.linalg.inv(B)
+        P, B = ((0.0, c2), (1.0, 0.0)), ((0.0, 1.0), (1.0 / c2, 0.0))
+    z_star = _matvec(B, (-raw.d, 0.0))
 
     def convert(f: AffineField) -> AffineField:
-        with np.errstate(over="ignore", invalid="ignore"):
-            A_new = Binv @ f.A @ B
-            b_new = Binv @ (f.A @ (B @ nu) + f.b)
-        if not (np.isfinite(A_new).all() and np.isfinite(b_new).all()):
+        vx, vy = _matvec(f.A, z_star)
+        try:
+            return AffineField(
+                _matmul(_matmul(P, f.A), B), _matvec(P, (vx + f.b[0], vy + f.b[1]))
+            )
+        except ValueError:
             raise SpecFileError(
                 f"switching line c = ({c1!r}, {c2!r}), d = {raw.d!r} cannot be moved onto "
                 "the y-axis in floats: the converted fields overflow"
-            )
-        return AffineField(A_new, b_new)
+            ) from None
 
     sys = FilippovSystem(left=convert(raw.minus), right=convert(raw.plus))
-    # z_new = B^{-1} z_old - nu on both halves
-    return sys, TransformRecord(Binv, -nu, steps=("axis-normalization",))
+    return sys, TransformRecord(P, (raw.d, 0.0), steps=("axis-normalization",))
 
 
 def _vanishes(value: float, scale: float) -> bool:
@@ -410,10 +464,10 @@ def sliding_numerator_roots(sys: FilippovSystem) -> list[float]:
     return []
 
 
-def pseudo_equilibria(sys: FilippovSystem) -> list[np.ndarray]:
-    """Zeros of the sliding field strictly inside sliding intervals."""
+def pseudo_equilibria(sys: FilippovSystem) -> list[Vector]:
+    """Zeros of the sliding field strictly inside sliding intervals, as (0, y)."""
     return [
-        np.array([0.0, r])
+        (0.0, r)
         for r in sorted(set(sliding_numerator_roots(sys)))
         if classify_point(sys, r) in SLIDING_LABELS
     ]
@@ -446,7 +500,7 @@ def equilibrium_info(field: AffineField, side: str) -> EquilibriumInfo:
     else:
         kind, stability = "node", "stable" if tr < 0 else "unstable"
 
-    x, y = loc.tolist()
+    x, y = loc
     if abs(x) <= VANISH_TOL * (1.0 + abs(x) + math.hypot(x, y)):
         placement = "boundary"
     elif (x > 0.0) == (side == "right"):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     AffineField,
     FilippovSystem,
@@ -216,9 +214,6 @@ class _Eigen:
 
         return x_repeated
 
-    def point(self, z0: np.ndarray, t: float) -> np.ndarray:
-        return np.array(self.at(float(z0[0]), float(z0[1]), t))
-
 
 def _eigen(f: AffineField) -> _Eigen:
     ev = f.__dict__.get("_flow_eigen")
@@ -228,9 +223,9 @@ def _eigen(f: AffineField) -> _Eigen:
     return ev
 
 
-def linear_flow(field: AffineField, z0, t: float) -> np.ndarray:
-    """Exact solution of z' = Az + b at time t starting from z0."""
-    return _eigen(field).point(z0, float(t))
+def linear_flow(field: AffineField, z0, t: float) -> tuple[float, float]:
+    """Exact solution of z' = Az + b at time t starting from z0, as (x, y)."""
+    return _eigen(field).at(float(z0[0]), float(z0[1]), float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +341,14 @@ def _landing(ev: _Eigen, x0: float, y0: float, t: float) -> tuple[float, float]:
 
 def _first_axis_hit(
     field: AffineField, x0: float, y0: float, side: str
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, tuple[float, float]]:
     """Smallest t > 0 with x(t) = 0 for the orbit from (x0, y0) into `side`.
 
     Raises NoReturn when the orbit provably never comes back (escape to
     infinity or convergence toward an equilibrium), DomainError when it
     does not depart into `side`, and ReturnOverflow when the flow leaves
     float range before it returns.  Each start is walked once per field:
-    later calls replay the landing, in a fresh array, or raise the same
-    error anew.
+    later calls replay the landing or raise the same error anew.
     """
     memo = _eigen(field).returns
     key = (x0, y0, side, math.copysign(1.0, x0), math.copysign(1.0, y0))
@@ -375,7 +369,7 @@ def _first_axis_hit(
     t, y = hit
     if isinstance(t, type):
         raise t(*y)
-    return t, np.array([0.0, y])
+    return t, (0.0, y)
 
 
 def _walk_to_axis(field: AffineField, x0: float, y0: float, side: str) -> tuple[float, float]:
@@ -468,13 +462,15 @@ def _off_axis(x: float, y: float) -> bool:
     return abs(x) > 1e-9 * (1.0 + abs(y))
 
 
-def first_return_to_axis(field: AffineField, z0, side: str) -> tuple[float, np.ndarray]:
+def first_return_to_axis(
+    field: AffineField, z0, side: str
+) -> tuple[float, tuple[float, float]]:
     """First positive-time axis intersection of the one-zone orbit from z0.
 
     z0 must be a finite point of the axis and the orbit must depart into the
     stated side, either transversally or through a visible tangency.  The
-    return is computed once per field, start and side and cached on the
-    field; every call gets a fresh array.
+    return (t, (0.0, y)) is computed once per field, start and side and
+    cached on the field.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -656,9 +652,9 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
     moves outward in the launch set ends the orbit as OutwardSpiral: every
     later lap moves further out and none can reach the sliding set.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    if not np.isfinite(z).all():
-        raise DomainError(f"start point ({z[0]}, {z[1]}) is not finite")
+    x0, y0 = float(z0[0]), float(z0[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise DomainError(f"start point ({x0}, {y0}) is not finite")
     segments: list = []
     axis_states: list[tuple[float, str]] = []
     grazes: list[float] = []
@@ -675,22 +671,21 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
         return Orbit(tuple(segments), event, tuple(grazes), lap)
 
     # Interior start: ride the current zone to the axis first.
-    if _off_axis(z[0], z[1]):
-        side = "right" if z[0] > 0.0 else "left"
+    y = y0
+    if _off_axis(x0, y0):
+        side = "right" if x0 > 0.0 else "left"
         f = sys.field(side)
         try:
-            t_hit, z_hit = _first_axis_hit(f, float(z[0]), float(z[1]), side)
+            t_hit, (_, y) = _first_axis_hit(f, x0, y0, side)
         except NoReturn:
             return _stop(_no_return_terminal(f, side))
-        z_hit[1] = snap_to_tangency(z_hit[1], tangency_ys, grazes)
-        segments.append(FlowSegment(side, tuple(z), (0.0, float(z_hit[1])), t_hit))
+        y = snap_to_tangency(y, tangency_ys, grazes)
+        segments.append(FlowSegment(side, (x0, y0), (0.0, y), t_hit))
         elapsed += t_hit
-        z = z_hit
         if len(segments) >= budget:
             return _stop(TerminalEvent("BudgetExhausted"))
 
     while True:
-        y = float(z[1])
         what, info = _axis_mode(sys, y)
         if what == "terminal":
             return _stop(info)
@@ -733,13 +728,13 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
             side = info
             f = sys.field(side)
             try:
-                t_hit, z_hit = first_return_to_axis(f, z, side)
+                t_hit, (_, y_hit) = first_return_to_axis(f, (0.0, y), side)
             except NoReturn:
                 return _stop(_no_return_terminal(f, side))
-            z_hit[1] = snap_to_tangency(z_hit[1], tangency_ys, grazes)
-            segments.append(FlowSegment(side, (0.0, y), (0.0, float(z_hit[1])), t_hit))
+            y_hit = snap_to_tangency(y_hit, tangency_ys, grazes)
+            segments.append(FlowSegment(side, (0.0, y), (0.0, y_hit), t_hit))
             elapsed += t_hit
-            z = z_hit
+            y = y_hit
             continue
 
         # slide
@@ -763,4 +758,4 @@ def filippov_orbit(sys: FilippovSystem, z0, budget: int = 200) -> Orbit:
         duration = _slide_time(sys, y, target)
         segments.append(SlideSegment(y, target, duration))
         elapsed += duration
-        z = np.array([0.0, target])
+        y = target

@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .canonical import CanonicalParams
 from .core import (
     AffineField,
     FilippovSystem,
     RegionLabel,
+    SLIDING_LABELS,
     classify_point,
     crossing_sets,
     equilibrium_info,
@@ -194,10 +193,14 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
 
     The lap leaves into the side both fields point to at y: right on the
     launch set, left on the landing set, where the scan's upper half-line
-    can put y.  Each landing snaps onto a tangency it grazes.  The
-    multiplier is the Liouville product over the two arcs,
-    P' = prod |f_x(z0) / f_x(z1)| e^(tr(A) t): an arc leaving its own zone's
-    tangency contributes 0, one landing on it makes the slope infinite.
+    can put y.  Each landing snaps onto a tangency it grazes.  The lap
+    closes only on the crossing half-line it left from or on the tangency
+    that ends it: a last landing that `classify_point` puts in a sliding
+    set is left to the sliding search, which slides from it, however close
+    to y it lands.  The multiplier is the Liouville product over the two
+    arcs, P' = prod |f_x(z0) / f_x(z1)| e^(tr(A) t): an arc leaving its own
+    zone's tangency contributes 0, one landing on it makes the slope
+    infinite.
     """
     tangencies = tangency_points(sys)
     first = "right" if sys.vx_right(y) + sys.vx_left(y) > 0.0 else "left"
@@ -208,10 +211,10 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
     for side in (first, "left" if first == "right" else "right"):
         f = sys.field(side)
         try:
-            t, z1 = first_return_to_axis(f, (0.0, y0), side)
+            t, (_, y1) = first_return_to_axis(f, (0.0, y0), side)
         except _NO_ARC:
             return None
-        y1 = snap_to_tangency(float(z1[1]), [tp.y for tp in tangencies], grazes)
+        y1 = snap_to_tangency(y1, [tp.y for tp in tangencies], grazes)
         own = [tp.y for tp in tangencies if tp.side == side]
         v0 = 0.0 if y0 in own else abs(f.axis_velocity(y0)[0])
         v1 = 0.0 if y1 in own else abs(f.axis_velocity(y1)[0])
@@ -224,7 +227,8 @@ def _crossing_record(sys: FilippovSystem, y: float) -> Optional[PeriodicOrbitRec
         exponent += f.trace * t
         segs.append(FlowSegment(side=side, start=(0.0, y0), end=(0.0, y1), duration=t))
         y0 = y1
-    if abs(y0 - y) > _CLOSURE_TOL * max(1.0, abs(y)):
+    closed = abs(y0 - y) <= _CLOSURE_TOL * max(1.0, abs(y))
+    if not closed or classify_point(sys, y0) in SLIDING_LABELS:
         return None
     return PeriodicOrbitRecord(
         kind="crossing",
@@ -243,8 +247,7 @@ def _arc(sys: FilippovSystem, side: str, y: float) -> tuple[float, float]:
     f = sys.field(side)
     if (sys.vx_right(y) + sys.vx_left(y) > 0.0) != (side == "right"):
         f = f.negated()
-    t, z = first_return_to_axis(f, (0.0, y), side)
-    u = float(z[1])
+    t, (_, u) = first_return_to_axis(f, (0.0, y), side)
     try:
         slope = f.axis_velocity(y)[0] / f.axis_velocity(u)[0] * math.exp(f.trace * t)
     except (ZeroDivisionError, OverflowError):
@@ -568,13 +571,8 @@ def coexistence(sys: FilippovSystem, budget: Optional[int] = None) -> Coexistenc
 
 
 def _example1_system(alpha: float, rho: float) -> FilippovSystem:
-    right = AffineField(
-        np.array([[2.0 * alpha, 1.0], [-1.0 - alpha * alpha, 0.0]]),
-        np.array([0.0, 1.0]),
-    )
-    left = AffineField(
-        np.array([[2.0, 1.0], [-2.0, 0.0]]), np.array([1.0, rho])
-    )
+    right = AffineField([[2.0 * alpha, 1.0], [-1.0 - alpha * alpha, 0.0]], [0.0, 1.0])
+    left = AffineField([[2.0, 1.0], [-2.0, 0.0]], [1.0, rho])
     return FilippovSystem(left=left, right=right)
 
 
@@ -591,8 +589,7 @@ def solve_rho_c(alpha: float) -> float:
     which is linear in rho and solved in closed form.
     """
     right = _example1_system(alpha, 0.0).right
-    _, z = first_return_to_axis(right.negated(), (0.0, -1.0), "right")
-    y2 = float(z[1])
+    _, (_, y2) = first_return_to_axis(right.negated(), (0.0, -1.0), "right")
     probe = CanonicalParams(
         alpha=alpha, beta=1.0, delta=1, eta=1.0, rho=0.0,
         gamma1=1.0, gamma2=-1.0, gamma3=1.0,
@@ -603,13 +600,8 @@ def solve_rho_c(alpha: float) -> float:
 
 def _example2_system(gamma1: float, eta: float) -> FilippovSystem:
     rho = (4.0 + gamma1 * gamma1) * math.expm1(2.0 * math.pi) / 8.0
-    right = AffineField(
-        np.array([[2.0, 1.0], [-2.0, 0.0]]), np.array([0.0, 1.0])
-    )
-    left = AffineField(
-        np.array([[gamma1, 1.0], [-1.0 - gamma1 * gamma1 / 4.0, 0.0]]),
-        np.array([eta, rho]),
-    )
+    right = AffineField([[2.0, 1.0], [-2.0, 0.0]], [0.0, 1.0])
+    left = AffineField([[gamma1, 1.0], [-1.0 - gamma1 * gamma1 / 4.0, 0.0]], [eta, rho])
     return FilippovSystem(left=left, right=right)
 
 
@@ -629,8 +621,8 @@ def solve_eta_c(gamma1: float) -> float:
     def g(eta: float) -> float:
         sys = _example2_system(gamma1, eta)
         _, z1 = first_return_to_axis(sys.right, (0.0, 0.0), "right")
-        _, z2 = first_return_to_axis(sys.left, z1, "left")
-        return float(z2[1])
+        _, (_, y2) = first_return_to_axis(sys.left, z1, "left")
+        return y2
 
     etas = [0.5 * 1.1 ** k for k in range(0, 64)]
     prev: Optional[tuple[float, float]] = None

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -30,7 +31,7 @@ from .core import (
     sigma_decomposition,
     tangency_points,
 )
-from .errors import FilippovError
+from .errors import FilippovError, SpecFileError
 from .flow import Orbit
 from .periodic import CoexistenceReport, coexistence
 from .specfile import SystemSpecFile, spec_obj
@@ -38,6 +39,26 @@ from .specfile import SystemSpecFile, spec_obj
 __all__ = ["AnalysisReport", "build_report", "params_obj", "report_to_json", "format_csv"]
 
 DEFAULT_SEED = 20260823
+
+
+def checked_seed(seed: int, source: str) -> int:
+    """`seed` when the checks' random generators accept it; a SpecFileError
+    naming `source` if not."""
+    if seed < 0:
+        raise SpecFileError(f"{source} wants a non-negative integer, got {seed}")
+    return seed
+
+
+def default_seed() -> int:
+    """FLP_SEED when it is set, else the report's default seed."""
+    text = os.environ.get("FLP_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        seed = int(text)
+    except ValueError:
+        raise SpecFileError(f"FLP_SEED wants an integer, got {text!r}") from None
+    return checked_seed(seed, "FLP_SEED")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .core import AffineField, FilippovSystem, RawSystem, normalize_to_y_axis
 from .errors import SpecFileError, ZeroNormal
 
@@ -58,9 +56,9 @@ class SystemSpecFile:
 
     def raw(self) -> RawSystem:
         return RawSystem(
-            plus=AffineField(np.array(self.A_plus), np.array(self.b_plus)),
-            minus=AffineField(np.array(self.A_minus), np.array(self.b_minus)),
-            c=np.array(self.c),
+            plus=AffineField(self.A_plus, self.b_plus),
+            minus=AffineField(self.A_minus, self.b_minus),
+            c=self.c,
             d=self.d,
         )
 

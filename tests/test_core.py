@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from filippov.core import (
     RawSystem,
     RegionLabel,
     SLIDING_LABELS,
+    TransformRecord,
+    _solve,
     axis_breakpoints,
     classify_point,
     crossing_sets,
@@ -356,7 +359,9 @@ def test_filippov_identity_on_sliding_points():
         vm = sys.vx_left(y)
         lam = vm / (vm - vp)
         assert 0.0 <= lam <= 1.0
-        combo = lam * sys.right.velocity((0.0, y)) + (1 - lam) * sys.left.velocity((0.0, y))
+        combo = lam * np.asarray(sys.right.velocity((0.0, y))) + (1 - lam) * np.asarray(
+            sys.left.velocity((0.0, y))
+        )
         assert abs(combo[0]) < 1e-12
         assert sliding_field(sys, y) == pytest.approx(combo[1], rel=1e-10, abs=1e-12)
 
@@ -401,7 +406,7 @@ def test_crossing_sets_match_the_pointwise_labels():
             right=AffineField(M[1][:, :2], M[1][:, 2]),
         )
         launch, landing = crossing_sets(sys)
-        same_sign = sys.right.A[0, 1] * sys.left.A[0, 1] > 0.0
+        same_sign = np.asarray(sys.right.A)[0, 1] * np.asarray(sys.left.A)[0, 1] > 0.0
         assert (launch is not None) == same_sign and (landing is not None) == same_sign
         if launch is None:
             continue
@@ -481,10 +486,133 @@ def test_axis_velocity_is_the_field_velocity_on_the_axis():
         heights = [0.0] + [tp.y for tp in tangency_points(sys)]
         heights += [s * h for h in (1.0, 1e3, 1e150, 1e300) for s in (1.0, -1.0)]
         for f in (sys.left, sys.right, sys.left.negated(), sys.right.negated()):
-            assert f.entries == tuple(float(v) for v in (*f.A.ravel(), *f.b))
-            assert f.det == float(f.A[0, 0] * f.A[1, 1] - f.A[0, 1] * f.A[1, 0])
-            assert f.trace == float(f.A[0, 0] + f.A[1, 1])
+            A = np.asarray(f.A)
+            assert f.entries == tuple(float(v) for v in (*A.ravel(), *f.b))
+            assert f.det == float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+            assert f.trace == float(A[0, 0] + A[1, 1])
             for y in heights:
                 with np.errstate(over="ignore"):
                     want = tuple(float(v) for v in f.velocity((0.0, y)))
                 assert f.axis_velocity(y) == want
+
+
+# ---------------------------------------------------------------------------
+# Value types and 2x2 closed forms
+
+
+def _helper_as_inputs(A, b):
+    """The same matrix and vector as lists, tuples, arrays and strided views."""
+    block = np.zeros((2, 6))
+    block[:, ::3][:, :2] = A  # columns 0 and 3: a view with a column stride
+    block[:, 4] = b
+    return [
+        ([list(r) for r in A], list(b)),
+        (tuple(map(tuple, A)), tuple(b)),
+        (np.array(A), np.array(b)),
+        (block[:, ::3], block[:, 4]),
+        (np.asfortranarray(A), np.array(b[::-1])[::-1]),
+    ]
+
+
+def test_value_types_read_every_sequence_alike():
+    A, b = [[0.5, -1.25], [3.0, 1e-300]], [-0.0, 7.5]
+    views = _helper_as_inputs(A, b)
+    assert not views[3][0].flags["C_CONTIGUOUS"]
+    entries = {AffineField(M, v).entries for M, v in views}
+    assert entries == {(0.5, -1.25, 3.0, 1e-300, -0.0, 7.5)}
+    for M, v in views:
+        f = AffineField(M, v)
+        assert f.A == ((0.5, -1.25), (3.0, 1e-300)) and f.b == (-0.0, 7.5)
+        assert all(type(x) is float for x in f.entries)
+        rec = TransformRecord(M, v)
+        assert (rec.P, rec.q) == (f.A, f.b)
+        raw = RawSystem(plus=f, minus=f, c=v[::-1], d=0)
+        assert raw.c == (7.5, -0.0) and type(raw.d) is float
+
+
+_IDENTITY = AffineField(np.eye(2), [0.0, 0.0])
+_MATRIX, _VECTOR = "expected a finite 2x2 matrix", "expected a finite 2-vector"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: AffineField([[1, 2, 3], [4, 5, 6]], [0, 0]), _MATRIX, id="A-2x3"),
+        pytest.param(lambda: AffineField(np.eye(3), [0, 0]), _MATRIX, id="A-3x3"),
+        pytest.param(lambda: AffineField(np.ones((2, 2, 1)), [0, 0]), _MATRIX, id="A-2x2x1"),
+        pytest.param(lambda: AffineField([1.0, 2.0], [0, 0]), _MATRIX, id="A-vector"),
+        pytest.param(lambda: AffineField(1.0, [0, 0]), _MATRIX, id="A-scalar"),
+        pytest.param(lambda: AffineField([[1, math.nan], [0, 1]], [0, 0]), _MATRIX, id="A-nan"),
+        pytest.param(lambda: AffineField([[1, 0], [-math.inf, 1]], [0, 0]), _MATRIX, id="A-inf"),
+        pytest.param(lambda: AffineField(np.eye(2), [1, 2, 3]), _VECTOR, id="b-3"),
+        pytest.param(lambda: AffineField(np.eye(2), np.eye(2)), _VECTOR, id="b-2x2"),
+        pytest.param(lambda: AffineField(np.eye(2), 1.0), _VECTOR, id="b-scalar"),
+        pytest.param(lambda: AffineField(np.eye(2), [math.inf, 0]), _VECTOR, id="b-inf"),
+        pytest.param(lambda: AffineField(np.eye(2), np.array([0, np.nan])), _VECTOR, id="b-nan"),
+        pytest.param(lambda: TransformRecord([[1.0, 0.0]], [0, 0]), _MATRIX, id="P-1x2"),
+        pytest.param(lambda: TransformRecord([[math.inf, 0], [0, 1]], [0, 0]), _MATRIX, id="P-inf"),
+        pytest.param(lambda: TransformRecord(np.eye(2), [0.0]), _VECTOR, id="q-1"),
+        pytest.param(lambda: TransformRecord(np.eye(2), [0.0, math.nan]), _VECTOR, id="q-nan"),
+        pytest.param(lambda: RawSystem(_IDENTITY, _IDENTITY, [1, 0, 0], 0), _VECTOR, id="c-3"),
+        pytest.param(lambda: RawSystem(_IDENTITY, _IDENTITY, [math.nan, 1], 0), _VECTOR, id="c-nan"),
+    ],
+)
+def test_value_types_refuse_bad_shapes_and_non_finite_entries(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def _helper_exact_solve(M, v):
+    (a, b), (c, d) = [[Fraction(x) for x in row] for row in M]
+    det = a * d - b * c
+    v1, v2 = Fraction(v[0]), Fraction(v[1])
+    x = ((d * v1 - b * v2) / det, (a * v2 - c * v1) / det)
+    # infinity-norm condition number, exactly
+    cond = max(abs(a) + abs(b), abs(c) + abs(d)) * max(abs(d) + abs(b), abs(c) + abs(a)) / abs(det)
+    return x, float(cond)
+
+
+def _helper_assert_within_8_ulp_cond(got, want, cond):
+    got = (Fraction(got[0]), Fraction(got[1]))
+    scale = max(abs(want[0]), abs(want[1]), abs(got[0]), abs(got[1]))
+    err = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
+    assert err <= 8 * 2.0**-52 * cond * scale
+
+
+_ENTRY = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-3)
+_PAIR = st.tuples(_ENTRY, _ENTRY)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(M=st.tuples(_PAIR, _PAIR), v=_PAIR, q=_PAIR)
+def test_solve_and_pullback_stay_within_8_ulp_times_the_condition_number(M, v, q):
+    (a, b), (c, d) = M
+    if a * d - b * c == 0.0:
+        return
+    x, cond = _helper_exact_solve(M, v)
+    if not cond <= 1e8:  # well conditioned only
+        return
+    _helper_assert_within_8_ulp_cond(_solve(M, v), x, cond)
+    # the record's inverse map z_old = P^-1 (z_new - q), from a float z_new
+    z_new = (v[0] + q[0], v[1] + q[1])
+    r = (Fraction(z_new[0]) - Fraction(q[0]), Fraction(z_new[1]) - Fraction(q[1]))
+    x, _ = _helper_exact_solve(M, r)
+    _helper_assert_within_8_ulp_cond(TransformRecord(M, q).pullback(z_new), x, cond)
+
+
+def test_push_and_pullback_return_float_pairs():
+    rec = TransformRecord([[2.0, 1.0], [0.0, -1.0]], [0.5, 3.0])
+    w = rec.push(np.array([1.0, 2.0]))
+    assert w == (4.5, 1.0) and all(type(v) is float for v in w)
+    assert rec.pullback(w) == (1.0, 2.0)
+    assert rec.pullback_axis(1.0) == 2.0
+
+
+def test_mirror_image_zero_entries_are_positive():
+    # a mirror image does not depend on the sign of a zero it came from
+    f = AffineField([[-0.0, 0.0], [-0.0, -0.0]], [0.0, -0.0])
+    g = AffineField([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
+    m = FilippovSystem(left=f, right=g).mirrored()
+    assert m.left.entries == (1.0, -2.0, -3.0, 4.0, -5.0, 6.0)
+    assert [math.copysign(1.0, v) for v in m.right.entries] == [1.0] * 6

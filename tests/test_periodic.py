@@ -385,6 +385,33 @@ def test_scenario_eta_critical_orbit_grazes_tangency():
     assert [s.kind for s in lap] == ["flow", "flow"]
 
 
+@pytest.mark.parametrize(
+    "census, critical",
+    [
+        (lambda v: scenario_example2(-2.05, v), lambda: solve_eta_c(-2.05)),
+        (lambda v: scenario_example1(0.05, v), lambda: solve_rho_c(0.05)),
+    ],
+    ids=["eta", "rho"],
+)
+def test_census_switches_once_at_the_critical_offset(census, critical):
+    # across the critical value the tangent cycle turns from a crossing cycle
+    # into a sliding one: one census on each side, never both at once, with
+    # the switch within 1e-8 of the closed form
+    c = critical()
+    offsets = [10.0 ** (k / 2.0) for k in range(-26, -11)]
+    offsets = sorted([-o for o in offsets] + offsets)
+    counts = []
+    for off in offsets:
+        rep = census(c + off)
+        counts.append((rep.n_crossing, rep.n_sliding))
+    below, above = counts[0], counts[-1]
+    assert below != above
+    assert set(counts) == {below, above}, list(zip(offsets, counts))
+    switch = counts.index(above)
+    assert counts[switch:] == [above] * (len(counts) - switch), list(zip(offsets, counts))
+    assert offsets[switch - 1] < 1e-8 and offsets[switch] > -1e-8
+
+
 def test_random_sweep_stays_inside_taxonomy():
     rng = np.random.default_rng(2026)
     allowed = {"F1A_a", "F1A_b", "F1A_c", "F1A_d", "F2A_a", "F2A_b", "F2A_c"}
@@ -476,8 +503,8 @@ def test_census_of_a_field_too_fast_to_resolve_skips_the_tangency(reversed_time)
     rep = coexistence(sys)
     assert (rep.n_crossing, rep.n_sliding) == (0, 0)
     big = FilippovSystem(
-        left=AffineField(sys.left.A * 1e20, sys.left.b * 1e20),
-        right=AffineField(sys.right.A * 1e20, sys.right.b * 1e20),
+        left=AffineField(np.asarray(sys.left.A) * 1e20, np.asarray(sys.left.b) * 1e20),
+        right=AffineField(np.asarray(sys.right.A) * 1e20, np.asarray(sys.right.b) * 1e20),
     )
     if reversed_time:
         big = big.time_reversed()

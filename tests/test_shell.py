@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filippov.canonical import to_canonical
+from filippov import cli
 from filippov.cli import main
 from filippov.errors import FilippovError, SpecFileError, ZeroNormal
 from filippov.halfmaps import P_L_inv, P_R, make_context
@@ -489,7 +490,7 @@ def test_cli_sweep_bad_range_exit2(capsys):
 @pytest.mark.parametrize("only, bad", [("2,99", "99"), ("99", "99"), ("0,1", "0")])
 def test_cli_verify_rejects_unknown_check_numbers_before_any_runs(monkeypatch, capsys, only, bad):
     ran = []
-    monkeypatch.setattr("filippov.cli.run_acceptance", lambda **kw: ran.append(kw) or [])
+    monkeypatch.setattr("filippov.acceptance.run_acceptance", lambda **kw: ran.append(kw) or [])
     assert main(["verify-paper", "--only", only]) == 2
     assert f"no check {bad} " in capsys.readouterr().err
     assert ran == []
@@ -510,3 +511,66 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60
     )
     assert proc.stdout.strip() == "[]"
+
+
+_NO_NUMPY = """
+import io, sys
+from contextlib import redirect_stdout
+import filippov
+assert "numpy" not in sys.modules, "import filippov"
+from filippov.cli import main
+assert "numpy" not in sys.modules, "import filippov.cli"
+# example1 has no crossing half-lines, so its dfunc exits 1; example6's
+# runs the grid, and buck_converter's orbit the decay-rate horizon
+commands = [
+    (["periodic", "example1"], 0),
+    (["sweep", "example1", "--param", "d", "--range=-0.1:0.1:3"], 0),
+    (["dfunc", "example1", "--y-min", "-2", "--y-max", "2", "--samples", "5"], 1),
+    (["dfunc", "example6", "--y-min", "-2", "--y-max", "2", "--samples", "5"], 0),
+    (["orbit", "example1", "--x0", "0.5", "--y0", "0.3", "--budget", "10"], 0),
+    (["orbit", "buck_converter", "--x0", "0.5", "--y0", "0.01"], 0),
+    (["classify", "example1"], 0),
+    (["canonical", "example1"], 0),
+]
+for argv, want in commands:
+    with redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == want and "numpy" not in sys.modules, argv
+with redirect_stdout(io.StringIO()) as out:
+    assert main(["verify-paper", "--only", "2"]) == 0, out.getvalue()
+print("ok")
+"""
+
+
+def test_cli_runs_every_command_but_verify_without_numpy():
+    # numpy draws check 1's random systems only; the library is pure float
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    lo=st.floats(allow_nan=False, allow_infinity=False),
+    hi=st.floats(allow_nan=False, allow_infinity=False),
+    n=st.integers(1, 80),
+)
+def test_range_grid_is_linspace_bit_for_bit(lo, hi, n):
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(lo, hi, n).tolist()
+    got = cli._grid(lo, hi, n)
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+    assert [v if v == v else "nan" for v in got] == [v if v == v else "nan" for v in want]
+
+
+def test_range_grid_edges():
+    import numpy as np
+
+    for lo, hi, n in ((0.0, 1.0, 1), (-0.0, 0.0, 3), (5e-324, 1e-323, 7), (-0.1, 0.1, 3), (1.0, 1.0, 4)):
+        assert cli._grid(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+    assert cli._parse_range("-0.037:-0.034:60") == np.linspace(-0.037, -0.034, 60).tolist()
