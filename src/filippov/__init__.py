@@ -17,15 +17,7 @@ from .core import (
 from .canonical import CanonicalParams, check_premises, to_canonical
 from .flow import filippov_orbit, first_return_to_axis, linear_flow
 from .halfmaps import P_L_inv, P_R, displacement, make_context, zeros_of_D
-from .periodic import (
-    coexistence,
-    find_crossing_orbits,
-    find_sliding_orbits,
-    scenario_example1,
-    scenario_example2,
-    solve_eta_c,
-    solve_rho_c,
-)
+from .periodic import coexistence, find_crossing_orbits, find_sliding_orbits
 from .report import build_report, report_to_json
 from .specfile import SystemSpecFile, bundled_examples, load_spec, parse_spec
 
@@ -53,10 +45,6 @@ __all__ = [
     "coexistence",
     "find_crossing_orbits",
     "find_sliding_orbits",
-    "scenario_example1",
-    "scenario_example2",
-    "solve_eta_c",
-    "solve_rho_c",
     "build_report",
     "report_to_json",
     "SystemSpecFile",

@@ -1,4 +1,5 @@
-"""The ten numbered verification checks behind `flp verify-paper`.
+"""The ten numbered verification checks behind `flp verify-paper`, and the
+tuned scenarios and PCG64 random draws that only they use.
 
 Each check returns pass/fail plus a human-readable detail line; the test
 suite calls the same functions, so the CLI table and pytest agree by
@@ -12,23 +13,26 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .canonical import CanonicalParams, to_canonical
+from .cli import _grid
 from .core import (
     AffineField,
     FilippovSystem,
     sliding_field,
     sliding_intervals,
 )
-from .errors import DegenerateField, DegenerateTangency, FilippovError
+from .errors import DegenerateField, DegenerateTangency, FilippovError, WindowNotFound
 from .flow import first_return_to_axis
 from .halfmaps import P_L_inv, P_R, derivatives, displacement, make_context, solve_t_hats, zeros_of_D
-from .periodic import coexistence, scenario_example1, scenario_example2, solve_eta_c, solve_rho_c
+from .periodic import _NO_ARC, CoexistenceReport, coexistence
 from .report import checked_seed, default_seed
+from .roots import brentq
 from .specfile import bundled_examples
 
-__all__ = ["CheckResult", "run_acceptance", "ALL_CHECKS", "WINDOW_OFFSETS", "default_seed"]
+__all__ = [
+    "CheckResult", "run_acceptance", "ALL_CHECKS", "WINDOW_OFFSETS", "default_seed",
+    "scenario_example1", "solve_rho_c", "scenario_example2", "solve_eta_c",
+]
 
 WINDOW_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 TAXONOMY = {"F1A_a", "F1A_b", "F1A_c", "F1A_d", "F2A_a", "F2A_b", "F2A_c"}
@@ -43,11 +47,69 @@ class CheckResult:
     elapsed: float
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's 32-bit hash, its multiplier stepped on every call."""
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence(seed).generate_state(8, uint32): the seed's 32-bit words,
+    least significant first, hashed into a pool of four and drawn out."""
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = _hasher(0x8B51F9DD, 0x58F38DED)
+    return [draw(pool[i % 4]) for i in range(8)]
+
+
+class _Generator:
+    """The uniform draws of `default_rng(seed)`, bit for bit: PCG64, a
+    128-bit LCG with XSL-RR output, seeded through SeedSequence (O'Neill,
+    HMC-CS-2014-0905), and doubles (next64 >> 11) * 2**-53."""
+
+    def __init__(self, seed: int):
+        # the state is words 0-3 and the stream 4-7, 64-bit halves high first
+        w = _seed_words(seed)
+        s0, s1, i0, i1 = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _M128
+
+    def uniform(self, low: float, high: float) -> float:
+        self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
+        value, rot = (s >> 64 ^ s) & _M64, s >> 122
+        value = (value >> rot | value << (64 - rot)) & _M64
+        return low + (high - low) * ((value >> 11) * 2.0**-53)
+
+
 def _random_system(rng) -> FilippovSystem:
-    M = rng.uniform(-3.0, 3.0, size=(2, 2, 3))
+    """Rows (a11, a12, b1), (a21, a22, b2) of left, then right, uniform on [-3, 3]."""
+    l1, l2, r1, r2 = ([rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in range(4))
     return FilippovSystem(
-        left=AffineField(M[0][:, :2], M[0][:, 2]),
-        right=AffineField(M[1][:, :2], M[1][:, 2]),
+        left=AffineField([l1[:2], l2[:2]], [l1[2], l2[2]]),
+        right=AffineField([r1[:2], r2[:2]], [r1[2], r2[2]]),
     )
 
 
@@ -57,7 +119,7 @@ def _census_tags(rep):
 
 def check_sliding_count_sweep(seed: Optional[int] = None, n: int = 10_000):
     """Random sweep: sliding counts within {0,1,2}, tags inside the taxonomy."""
-    rng = np.random.default_rng(default_seed() if seed is None else seed)
+    rng = _Generator(default_seed() if seed is None else seed)
     t0 = time.perf_counter()
     hist: dict = {}
     skipped = 0
@@ -135,6 +197,81 @@ def check_crossing_exclusions(seed: Optional[int] = None):
     if not resid < 1e-10:
         return False, f"example6: |D| at the zero is {resid:.3e}"
     return True, f"multiplier {mult:.6f}, |D| at zero {resid:.1e}"
+
+
+def _example1_system(alpha: float, rho: float) -> FilippovSystem:
+    right = AffineField([[2.0 * alpha, 1.0], [-1.0 - alpha * alpha, 0.0]], [0.0, 1.0])
+    left = AffineField([[2.0, 1.0], [-2.0, 0.0]], [1.0, rho])
+    return FilippovSystem(left=left, right=right)
+
+
+def scenario_example1(alpha: float, rho: float) -> CoexistenceReport:
+    """Census of the tuned family with a steep left focus and offset rho."""
+    return coexistence(_example1_system(alpha, rho))
+
+
+def solve_rho_c(alpha: float) -> float:
+    """Left offset at which the crossing cycle grazes the left tangency.
+
+    The graze happens when the backward right arc from the left tangency
+    (0, -1) and the left half-turn landing from it meet the same height,
+    which is linear in rho and solved in closed form.
+    """
+    right = _example1_system(alpha, 0.0).right
+    _, (_, y2) = first_return_to_axis(right.negated(), (0.0, -1.0), "right")
+    probe = CanonicalParams(
+        alpha=alpha, beta=1.0, delta=1, eta=1.0, rho=0.0,
+        gamma1=1.0, gamma2=-1.0, gamma3=1.0,
+    )
+    t_minus, _ = solve_t_hats(probe)
+    return (y2 + 1.0) / (math.sin(t_minus) * math.exp(t_minus))
+
+
+def _example2_system(gamma1: float, eta: float) -> FilippovSystem:
+    rho = (4.0 + gamma1 * gamma1) * math.expm1(2.0 * math.pi) / 8.0
+    right = AffineField([[2.0, 1.0], [-2.0, 0.0]], [0.0, 1.0])
+    left = AffineField([[gamma1, 1.0], [-1.0 - gamma1 * gamma1 / 4.0, 0.0]], [eta, rho])
+    return FilippovSystem(left=left, right=right)
+
+
+def scenario_example2(gamma1: float, eta: float) -> CoexistenceReport:
+    """Census of the tuned family with an invisible left tangency."""
+    return coexistence(_example2_system(gamma1, eta))
+
+
+def solve_eta_c(gamma1: float) -> float:
+    """Left offset scale at which the tangent cycle through (0, 0) closes.
+
+    g(eta) is the height reached after one right arc from the visible
+    tangency and one left return; its sign change is bracketed on a
+    geometric ladder and polished by brentq.
+    """
+
+    def g(eta: float) -> float:
+        sys = _example2_system(gamma1, eta)
+        _, z1 = first_return_to_axis(sys.right, (0.0, 0.0), "right")
+        _, (_, y2) = first_return_to_axis(sys.left, z1, "left")
+        return y2
+
+    etas = [0.5 * 1.1 ** k for k in range(0, 64)]
+    prev: Optional[tuple[float, float]] = None
+    for eta in etas:
+        if eta > 200.0:
+            break
+        try:
+            val = g(eta)
+        except _NO_ARC:
+            prev = None
+            continue
+        if prev is not None and prev[1] * val < 0.0:
+            return brentq(g, prev[0], eta, xtol=1e-12)
+        if val == 0.0:
+            return eta
+        prev = (eta, val)
+    raise WindowNotFound(
+        f"no sign change of the tangent-cycle closure for gamma1={gamma1}"
+    )
+
 
 
 def _search_window(probe: Callable[[float], bool]):
@@ -216,7 +353,7 @@ def _random_addcond_params(rng) -> CanonicalParams:
 def check_halfmap_oracle(seed: Optional[int] = None):
     """Closed-form half-maps against exact-flow first returns, and
     closed-form derivatives against finite differences."""
-    rng = np.random.default_rng((default_seed() if seed is None else seed) + 6)
+    rng = _Generator((default_seed() if seed is None else seed) + 6)
     worst_map = 0.0
     worst_der = 0.0
     for _ in range(50):
@@ -224,20 +361,19 @@ def check_halfmap_oracle(seed: Optional[int] = None):
         ctx = make_context(p)
         sys = p.realize()
         off = 0.25 * (1.0 + abs(ctx.y_star))
-        ys = np.linspace(ctx.y_star + off, ctx.y_star + off + 12.0, 100)
+        ys = _grid(ctx.y_star + off, ctx.y_star + off + 12.0, 100)
         for y in ys:
-            pr = P_R(float(y), ctx)
-            _, z = first_return_to_axis(sys.right, (0.0, float(y)), "right")
-            err = abs(pr - float(z[1])) / (1.0 + abs(pr))
+            pr = P_R(y, ctx)
+            _, z = first_return_to_axis(sys.right, (0.0, y), "right")
+            err = abs(pr - z[1]) / (1.0 + abs(pr))
             worst_map = max(worst_map, err)
-            pl = P_L_inv(float(y), ctx)
+            pl = P_L_inv(y, ctx)
             _, z = first_return_to_axis(sys.left, (0.0, pl), "left")
-            err = abs(float(z[1]) - float(y)) / (1.0 + abs(y))
+            err = abs(z[1] - y) / (1.0 + abs(y))
             worst_map = max(worst_map, err)
             if worst_map >= 1e-8:
                 return False, f"half-map vs flow error {worst_map:.2e} at y={y}"
         for y in ys[::10]:
-            y = float(y)
             d = derivatives(y, ctx)
             h = 1e-4 * (1.0 + abs(y))
             for closed, lo, hi in (
@@ -273,8 +409,10 @@ def check_asymptotic_slopes(seed: Optional[int] = None):
                     f"alpha={alpha}, gamma3={g3}: slope errors {rel_r:.3f}/{rel_l:.3f}"
                 )
             lo = ctx.y_star + 0.5 * (1.0 + abs(ctx.y_star))
-            for y in np.geomspace(lo + 1.0, y_far, 25):
-                dd = derivatives(float(y), ctx)
+            # a geometric grid from lo + 1 to y_far, both ends exact
+            ys = [10.0**v for v in _grid(math.log10(lo + 1.0), math.log10(y_far), 25)]
+            for y in [lo + 1.0] + ys[1:-1] + [y_far]:
+                dd = derivatives(y, ctx)
                 if not (dd.d2PR < 0.0 and dd.d2PLinv > 0.0):
                     return False, f"convexity sign failed at y={y:.3e}"
     return True, f"9 parameter pairs, worst slope error {worst:.2e} at y=1e5"
@@ -296,10 +434,15 @@ def check_half_turn_constants(seed: Optional[int] = None):
             lo = mid
     t_bis = 0.5 * (lo + hi)
 
-    ts = np.arange(math.pi, 2.0 * math.pi, 1e-6)
-    vals = np.cos(ts) - np.sin(ts) - np.exp(-ts)
-    idx = int(np.nonzero(np.diff(np.sign(vals)))[0][0])
-    t_grid = float(ts[idx])
+    def sign(t):
+        v = f(t)
+        return (v > 0.0) - (v < 0.0)
+
+    # arange's grid pi + i * step below 2pi, scanned to its first sign change
+    step = (math.pi + 1e-6) - math.pi  # the gap of its first two points
+    n, start = math.ceil(math.pi / 1e-6), sign(math.pi)
+    idx = next(i for i in range(n - 1) if sign(math.pi + (i + 1) * step) != start)
+    t_grid = math.pi + idx * step
     if abs(t_bis - t_grid) > 2e-6:
         return False, f"bisection {t_bis} vs grid {t_grid}"
     if abs(t_bis - 3.941) > 1e-2:
@@ -322,7 +465,7 @@ def check_half_turn_constants(seed: Optional[int] = None):
 def check_filippov_identity(seed: Optional[int] = None):
     """Sliding field as the convex combination: weight in [0,1], zero normal
     component, tangential component matching the rational closed form."""
-    rng = np.random.default_rng((default_seed() if seed is None else seed) + 9)
+    rng = _Generator((default_seed() if seed is None else seed) + 9)
     tested = 0
     while tested < 1000:
         sys = _random_system(rng)
@@ -333,21 +476,19 @@ def check_filippov_identity(seed: Optional[int] = None):
                 lo, hi = -10.0, 10.0
             for _ in range(5):
                 y = rng.uniform(lo, hi)
-                z = np.array([0.0, y])
-                fp = np.asarray(sys.right.velocity(z))
-                fm = np.asarray(sys.left.velocity(z))
-                vp, vm = float(fp[0]), float(fm[0])
+                fp, fm = sys.right.velocity((0.0, y)), sys.left.velocity((0.0, y))
+                vp, vm = fp[0], fm[0]
                 if vm == vp:
                     continue
                 lam = vm / (vm - vp)
                 if not -1e-12 <= lam <= 1.0 + 1e-12:
                     return False, f"weight {lam} outside [0,1] at y={y}"
-                combo = lam * fp + (1.0 - lam) * fm
-                scale = 1.0 + float(np.hypot(*fp)) + float(np.hypot(*fm))
-                if abs(float(combo[0])) > 1e-12 * scale:
+                combo = tuple(lam * p + (1.0 - lam) * m for p, m in zip(fp, fm))
+                scale = 1.0 + math.hypot(*fp) + math.hypot(*fm)
+                if abs(combo[0]) > 1e-12 * scale:
                     return False, f"normal component {combo[0]:.2e} at y={y}"
                 fs = sliding_field(sys, y)
-                if abs(fs - float(combo[1])) > 1e-9 * (1.0 + abs(fs)):
+                if abs(fs - combo[1]) > 1e-9 * (1.0 + abs(fs)):
                     return False, f"tangential mismatch {fs} vs {combo[1]} at y={y}"
                 tested += 1
                 if tested >= 1000:

@@ -15,10 +15,10 @@ import sys
 from dataclasses import replace
 
 from .canonical import check_premises, to_canonical
-from .core import crossing_sets, equilibrium_info, sigma_decomposition, tangency_points
+from .core import equilibrium_info, sigma_decomposition, tangency_points
 from .errors import DomainError, FilippovError, SpecFileError
 from .flow import filippov_orbit, linear_flow
-from .periodic import _NO_ARC, _arc, coexistence
+from .periodic import _NO_ARC, _arc, _half_line_ends, coexistence
 from .report import build_report, default_seed, format_csv, params_obj, report_to_json
 from .specfile import SystemSpecFile, resolve_spec
 
@@ -29,8 +29,11 @@ def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
         # newline="" so CSV keeps its CRLF terminators untranslated
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecFileError(f"--out cannot write {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -157,11 +160,11 @@ def cmd_dfunc(args) -> int:
     _require_finite(args, "y_min", "y_max")
     _require_count(args, "samples")
     fsys = resolve_spec(args.spec).normalized()
-    launch, landing = crossing_sets(fsys)
-    if launch is None:
+    ends = _half_line_ends(fsys)
+    if ends is None:
         raise DomainError("no crossing half-lines: D = P_Linv - P_R is defined nowhere")
     # the census's D, from both exact arcs on the upper crossing half-line
-    edge = launch[0] if launch[1] == math.inf else landing[0]
+    edge = ends[0]
 
     def arc(side: str, y: float) -> float:
         try:

@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .canonical import CanonicalParams
 from .core import (
-    AffineField,
     FilippovSystem,
     RegionLabel,
     SLIDING_LABELS,
@@ -26,7 +24,7 @@ from .core import (
     equilibrium_info,
     tangency_points,
 )
-from .errors import DomainError, NoReturn, TheoremViolation, WindowNotFound
+from .errors import DomainError, NoReturn, TheoremViolation
 from .flow import (
     _CLOSURE_TOL,
     FlowSegment,
@@ -37,7 +35,6 @@ from .flow import (
     first_return_to_axis,
     snap_to_tangency,
 )
-from .halfmaps import solve_t_hats
 from .roots import brentq
 
 __all__ = [
@@ -48,10 +45,6 @@ __all__ = [
     "find_crossing_orbits",
     "classify_configuration",
     "coexistence",
-    "scenario_example1",
-    "solve_rho_c",
-    "scenario_example2",
-    "solve_eta_c",
 ]
 
 # an arc that does not return, or leaves float range before it does, is no
@@ -300,6 +293,14 @@ def _lattice_values(D, grid: list[float], mid: int, probe) -> list[tuple[float, 
     return [(grid[k], v[0]) for k, v in sorted(vals.items()) if v is not None]
 
 
+def _half_line_ends(sys: FilippovSystem) -> Optional[tuple[float, float]]:
+    """(edge, lo): the upper crossing half-line [edge, inf) and the lower one's end."""
+    launch, landing = crossing_sets(sys)
+    if launch is None:
+        return None
+    return (launch[0], landing[1]) if launch[1] == math.inf else (landing[0], launch[1])
+
+
 def _scan_heights(sys: FilippovSystem) -> list[float]:
     """Heights of the zeros of D(y) = u_L(y) - u_R(y) on the upper crossing
     half-line, where u_s is the landing of `_arc` into side s.
@@ -316,10 +317,10 @@ def _scan_heights(sys: FilippovSystem) -> list[float]:
     multiplier.  The cuts are proposed too: a cycle can graze a tangency or
     sit closer to an invariant line than floats resolve.
     """
-    launch, landing = crossing_sets(sys)
-    if launch is None:
+    ends = _half_line_ends(sys)
+    if ends is None:
         return []
-    edge, lo = (launch[0], landing[1]) if launch[1] == math.inf else (landing[0], launch[1])
+    edge, lo = ends
     cuts = {edge}
     for side in ("right", "left"):
         try:
@@ -563,82 +564,4 @@ def coexistence(sys: FilippovSystem, budget: Optional[int] = None) -> Coexistenc
     records = tuple(crossing) + tuple(sliding) + tuple(_standard_records(sys))
     return CoexistenceReport(
         n_crossing=len(crossing), n_sliding=len(sliding), records=records
-    )
-
-
-# ---------------------------------------------------------------------------
-# The two tuned scenarios
-
-
-def _example1_system(alpha: float, rho: float) -> FilippovSystem:
-    right = AffineField([[2.0 * alpha, 1.0], [-1.0 - alpha * alpha, 0.0]], [0.0, 1.0])
-    left = AffineField([[2.0, 1.0], [-2.0, 0.0]], [1.0, rho])
-    return FilippovSystem(left=left, right=right)
-
-
-def scenario_example1(alpha: float, rho: float) -> CoexistenceReport:
-    """Census of the tuned family with a steep left focus and offset rho."""
-    return coexistence(_example1_system(alpha, rho))
-
-
-def solve_rho_c(alpha: float) -> float:
-    """Left offset at which the crossing cycle grazes the left tangency.
-
-    The graze happens when the backward right arc from the left tangency
-    (0, -1) and the left half-turn landing from it meet the same height,
-    which is linear in rho and solved in closed form.
-    """
-    right = _example1_system(alpha, 0.0).right
-    _, (_, y2) = first_return_to_axis(right.negated(), (0.0, -1.0), "right")
-    probe = CanonicalParams(
-        alpha=alpha, beta=1.0, delta=1, eta=1.0, rho=0.0,
-        gamma1=1.0, gamma2=-1.0, gamma3=1.0,
-    )
-    t_minus, _ = solve_t_hats(probe)
-    return (y2 + 1.0) / (math.sin(t_minus) * math.exp(t_minus))
-
-
-def _example2_system(gamma1: float, eta: float) -> FilippovSystem:
-    rho = (4.0 + gamma1 * gamma1) * math.expm1(2.0 * math.pi) / 8.0
-    right = AffineField([[2.0, 1.0], [-2.0, 0.0]], [0.0, 1.0])
-    left = AffineField([[gamma1, 1.0], [-1.0 - gamma1 * gamma1 / 4.0, 0.0]], [eta, rho])
-    return FilippovSystem(left=left, right=right)
-
-
-def scenario_example2(gamma1: float, eta: float) -> CoexistenceReport:
-    """Census of the tuned family with an invisible left tangency."""
-    return coexistence(_example2_system(gamma1, eta))
-
-
-def solve_eta_c(gamma1: float) -> float:
-    """Left offset scale at which the tangent cycle through (0, 0) closes.
-
-    g(eta) is the height reached after one right arc from the visible
-    tangency and one left return; its sign change is bracketed on a
-    geometric ladder and polished by brentq.
-    """
-
-    def g(eta: float) -> float:
-        sys = _example2_system(gamma1, eta)
-        _, z1 = first_return_to_axis(sys.right, (0.0, 0.0), "right")
-        _, (_, y2) = first_return_to_axis(sys.left, z1, "left")
-        return y2
-
-    etas = [0.5 * 1.1 ** k for k in range(0, 64)]
-    prev: Optional[tuple[float, float]] = None
-    for eta in etas:
-        if eta > 200.0:
-            break
-        try:
-            val = g(eta)
-        except _NO_ARC:
-            prev = None
-            continue
-        if prev is not None and prev[1] * val < 0.0:
-            return brentq(g, prev[0], eta, xtol=1e-12)
-        if val == 0.0:
-            return eta
-        prev = (eta, val)
-    raise WindowNotFound(
-        f"no sign change of the tangent-cycle closure for gamma1={gamma1}"
     )

@@ -15,7 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from filippov.acceptance import _random_addcond_params, _random_system
+from filippov.acceptance import (
+    _random_addcond_params,
+    _random_system,
+    scenario_example1,
+    scenario_example2,
+    solve_eta_c,
+    solve_rho_c,
+)
 from filippov.canonical import check_premises, to_canonical
 from filippov import cli, flow, periodic
 from filippov.core import (
@@ -46,10 +53,6 @@ from filippov.periodic import (
     coexistence,
     find_crossing_orbits,
     find_sliding_orbits,
-    scenario_example1,
-    scenario_example2,
-    solve_eta_c,
-    solve_rho_c,
 )
 from filippov.roots import brentq
 from filippov.specfile import BUNDLED_NAMES, resolve_spec

@@ -458,6 +458,31 @@ def test_cli_out_file_matches_stdout(tmp_path, capsys):
     assert b"\r\n" in target.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "example1"],
+        ["sweep", "example1", "--param", "d", "--range=-0.1:0.1:3"],
+    ],
+)
+def test_cli_out_to_a_missing_directory_exits_2(args, tmp_path, capsys):
+    # the open's FileNotFoundError used to end in a traceback and exit 1
+    target = tmp_path / "missing" / "x.txt"
+    assert main(args + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: SpecFileError: --out cannot write {str(target)!r}: " in captured.err
+    assert not target.parent.exists()
+
+
+def test_library_has_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
+
+
 def test_cli_sweep_crosses_transition(capsys):
     args = [
         "sweep",
@@ -520,6 +545,7 @@ import filippov
 assert "numpy" not in sys.modules, "import filippov"
 from filippov.cli import main
 assert "numpy" not in sys.modules, "import filippov.cli"
+assert "filippov.acceptance" not in sys.modules, "import filippov.cli"
 # example1 has no crossing half-lines, so its dfunc exits 1; example6's
 # runs the grid, and buck_converter's orbit the decay-rate horizon
 commands = [
@@ -538,12 +564,17 @@ for argv, want in commands:
     assert code == want and "numpy" not in sys.modules, argv
 with redirect_stdout(io.StringIO()) as out:
     assert main(["verify-paper", "--only", "2"]) == 0, out.getvalue()
+assert "numpy" not in sys.modules, "verify-paper --only 2"
+# with numpy's import blocked, all ten checks still run and pass
+sys.modules["numpy"] = None
+with redirect_stdout(io.StringIO()) as out:
+    assert main(["verify-paper"]) == 0, out.getvalue()
 print("ok")
 """
 
 
-def test_cli_runs_every_command_but_verify_without_numpy():
-    # numpy draws check 1's random systems only; the library is pure float
+def test_cli_runs_every_command_without_numpy():
+    # the library is pure float: numpy and scipy are test oracles only
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY], env=env, capture_output=True, text=True, timeout=120
